@@ -149,6 +149,14 @@ class BranchSpec:
         phi = poly_eval_float(self.fcoeffs, x)
         if self.fexp == 1.0:
             return self.foffset + (phi if self.sign == 1 else -phi)
+        return self.power_value(phi)
+
+    def power_value(self, phi: float) -> float:
+        """``offset + sign * phi**exponent`` for a power composite, given phi(x).
+
+        Batch engines call this element by element, so that their power
+        rounds exactly as the scalar value does.
+        """
         if self.exponent.denominator == 1:
             p = phi ** int(self.exponent)
         else:

@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dyadic
+from .branch import BranchSpec
 from .catalog import ORBIT_PRIME
 from .cells import cells_of_points, ncells
 from .maps import PiecewiseMap, Termination
@@ -168,6 +169,15 @@ def dyadic_orbit_cells(
 # ---------------------------------------------------------------------------
 # batch engine
 
+#: Largest double below 1 and least normal double: where the batch float
+#: engine moves iterates that land on the endpoints 1 and 0.
+_BELOW_ONE = 1.0 - 2.0**-53
+_ABOVE_ZERO = 2.0**-1022
+
+#: Largest supported ``fine_bits``: the exact engine forms
+#: ``state << fine_bits`` with state < ORBIT_PRIME < 2**31 in int64.
+MAX_FINE_BITS = 32
+
 
 @dataclass
 class BatchCells:
@@ -185,6 +195,120 @@ class BatchCells:
         return 2.0 ** -self.fine_bits
 
 
+@dataclass(frozen=True)
+class _BranchTable:
+    """The float branch expressions of a map, one row per distinct expression.
+
+    Row r evaluates the polynomial ``coeffs[r]`` (low degree first, padded
+    with zero leading terms to a common degree, which leaves Horner's
+    rounding unchanged) and then ``outer[r]``, the vectorised
+    ``offset + sign * phi**exponent`` (None where that is phi itself).
+    """
+
+    breaks: np.ndarray               # interior breakpoints
+    branch_row: np.ndarray           # row of each branch
+    coeffs: np.ndarray               # (rows, degree + 1)
+    outer: tuple
+
+    @classmethod
+    def of(cls, pmap: PiecewiseMap) -> "_BranchTable":
+        rows: dict[tuple, int] = {}
+        reps, branch_row = [], []
+        for b in pmap.branches:
+            key = (b.fcoeffs, b.exponent, b.foffset, b.sign)
+            if key not in rows:
+                rows[key] = len(reps)
+                reps.append(b)
+            branch_row.append(rows[key])
+        coeffs = np.zeros((len(reps), max(len(b.fcoeffs) for b in reps)))
+        for r, b in enumerate(reps):
+            coeffs[r, : len(b.fcoeffs)] = b.fcoeffs
+        return cls(
+            np.asarray(pmap.fbreaks[1:-1]),
+            np.asarray(branch_row),
+            coeffs,
+            tuple(_vector_outer(b) for b in reps),
+        )
+
+
+def _vector_outer(b: BranchSpec):
+    """Vectorised ``offset + sign * phi**exponent`` of a branch, or None for phi itself."""
+    if b.fexp != 1.0:
+        # element by element through the scalar's own power, which numpy's
+        # vectorised power does not reproduce bit for bit
+        power = np.frompyfunc(b.power_value, 1, 1)
+        return lambda phi: power(phi).astype(float)
+    if b.foffset == 0.0 and b.sign == 1:
+        return None
+    return lambda phi: b.foffset + b.sign * phi
+
+
+def _float_stepper(pmap: PiecewiseMap, ns: int):
+    """``advance(x, y)``: y = f(x) for a float state row, in place."""
+    table = _BranchTable.of(pmap)
+    mask = np.empty(ns, dtype=bool)
+
+    def finish(y):
+        # exact endpoint hits absorb float orbits at repelling fixed points
+        # (true orbits re-escape): clip to [0,1] and keep the samples
+        # Lebesgue-generic by moving 0 and 1 inward.  No double lies between
+        # _BELOW_ONE and 1, so these three calls are that clip and move.
+        np.minimum(y, _BELOW_ONE, out=y)
+        np.less_equal(y, 0.0, out=mask)
+        np.copyto(y, _ABOVE_ZERO, where=mask)
+
+    if len(table.coeffs) == 1:
+        top, *lower = table.coeffs[0][::-1]
+        outer = table.outer[0]
+
+        def advance(x, y):
+            np.multiply(x, top, out=y)
+            for k, c in enumerate(lower):
+                if k:
+                    np.multiply(y, x, out=y)
+                if c:  # adding 0.0 only turns -0.0 into 0.0, which no later step tells apart
+                    np.add(y, c, out=y)
+            if outer is not None:
+                y[:] = outer(y)
+            finish(y)
+
+        return advance
+
+    top, *lower = [np.ascontiguousarray(col) for col in table.coeffs[table.branch_row].T[::-1]]
+    special = [(r, f) for r, f in enumerate(table.outer) if f is not None]
+
+    def advance(x, y):
+        idx = table.breaks.searchsorted(x, "left")
+        np.multiply(top[idx], x, out=y)
+        for k, col in enumerate(lower):
+            if k:
+                np.multiply(y, x, out=y)
+            np.add(y, col[idx], out=y)
+        if special:
+            row = table.branch_row[idx]
+            for r, f in special:
+                m = row == r
+                y[m] = f(y[m])
+        finish(y)
+
+    return advance
+
+
+def _exact_stepper(pmap: PiecewiseMap, q: int):
+    """``advance(p, p')``: p' = q f(p/q) for an integer-linear map, in place."""
+    ms, bs, thresholds = _linear_tables(pmap)
+    tq = np.asarray([tn * q // td for tn, td in thresholds], dtype=np.int64)
+    ms_a = np.asarray(ms, dtype=np.int64)
+    bs_a = np.asarray(bs, dtype=np.int64) * q
+
+    def advance(p, out):
+        idx = tq.searchsorted(p, "left")  # p > tq[i]  <=>  x > threshold_i
+        np.multiply(ms_a[idx], p, out=out)
+        np.add(out, bs_a[idx], out=out)
+
+    return advance
+
+
 def batch_cells(
     pmap: PiecewiseMap,
     x0s: np.ndarray,
@@ -192,9 +316,19 @@ def batch_cells(
     transient: int,
     fine_bits: int = 14,
     want_counts: bool = False,
-    chunk: int = 4096,
+    chunk: int = 1024,
 ) -> BatchCells:
-    """Cell visit masks (and optional counts) for many seeds simultaneously."""
+    """Cell visit masks (and optional counts) for many seeds simultaneously.
+
+    Integer-linear maps run exactly on p/ORBIT_PRIME, all others in double
+    precision.  Iterates are produced ``chunk`` steps at a time into one
+    preallocated (chunk, n_seeds) block; cell indices, counts and visit
+    masks are then updated once per block.
+    """
+    if not 0 <= fine_bits <= MAX_FINE_BITS:
+        raise ValueError(f"fine_bits must lie in [0, {MAX_FINE_BITS}], got {fine_bits}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     x0s = np.asarray(x0s, dtype=float)
     ns = len(x0s)
     nf = 1 << fine_bits
@@ -203,65 +337,46 @@ def batch_cells(
     offsets = np.arange(ns, dtype=np.int64) * nf
 
     exact = pmap.integer_linear
+    q = ORBIT_PRIME
+    block = min(chunk, n)
+    # row 0 carries the state into the block, rows 1..block receive its iterates
+    states = np.empty((block + 1, ns), dtype=np.int64 if exact else float)
     if exact:
-        ms, bs, thresholds = _linear_tables(pmap)
-        q = ORBIT_PRIME
-        tq = np.asarray([tn * q // td for tn, td in thresholds], dtype=np.int64)
-        state = np.clip(np.round(x0s * q).astype(np.int64), 1, q - 1)
-        ms_a = np.asarray(ms, dtype=np.int64)
-        bs_a = np.asarray(bs, dtype=np.int64) * q
+        states[0] = np.clip(np.round(x0s * q).astype(np.int64), 1, q - 1)
+        advance = _exact_stepper(pmap, q)
     else:
-        breaks = np.asarray(pmap.fbreaks[1:-1])
-        branch_coeffs = [np.asarray(b.fcoeffs) for b in pmap.branches]
-        state = x0s.copy()
+        states[0] = x0s
+        advance = _float_stepper(pmap, ns)
+    rows = list(states)
+    cells = np.empty((block, ns), dtype=np.int64)
 
-    events = np.empty(chunk * ns, dtype=np.int64)
     step = 0  # iterates produced
     while step < n:
-        block = min(chunk, n - step)
-        block_start = step + 1
-        pos = 0
-        for _ in range(block):
-            if exact:
-                idx = (state[:, None] > tq[None, :]).sum(axis=1)
-                state = ms_a[idx] * state + bs_a[idx]
-                cellv = (state << fine_bits) // q
-            else:
-                idx = np.searchsorted(breaks, state, side="left")
-                out = np.empty_like(state)
-                for bi, cf in enumerate(branch_coeffs):
-                    mask = idx == bi
-                    if not mask.any():
-                        continue
-                    xs = state[mask]
-                    acc = np.full(xs.shape, cf[-1])
-                    for c in cf[-2::-1]:
-                        acc = acc * xs + c
-                    out[mask] = acc
-                np.clip(out, 0.0, 1.0, out=out)
-                # exact endpoint hits absorb float orbits at repelling fixed
-                # points (true orbits re-escape); nudge one ulp inward to keep
-                # the samples Lebesgue-generic
-                out[out == 0.0] = 2.0**-1022
-                out[out == 1.0] = 1.0 - 2.0**-53
-                state = out
-                cellv = np.minimum((state * nf).astype(np.int64), nf - 1)
-            events[pos : pos + ns] = offsets + cellv
-            pos += ns
-            step += 1
-        ev = events[:pos]
+        size = min(block, n - step)
+        for j in range(size):
+            advance(rows[j], rows[j + 1])
+        iterates, ev = states[1 : size + 1], cells[:size]
+        if exact:
+            np.left_shift(iterates, fine_bits, out=ev)
+            np.floor_divide(ev, q, out=ev)
+        else:
+            np.multiply(iterates, nf, out=ev, casting="unsafe")
+            np.minimum(ev, nf - 1, out=ev)
+        ev += offsets
+        ev = ev.ravel()
         if want_counts:
-            counts += np.bincount(ev, minlength=ns * nf)
-        t0 = max(transient, block_start)
+            np.add.at(counts, ev, 1)
+        t0 = max(transient, step + 1)
+        step += size
         if step >= t0:
-            skip = (t0 - block_start) * ns
-            visited[ev[skip:]] = True
-    finals = state / ORBIT_PRIME if exact else state
+            visited[ev[(t0 - (step - size + 1)) * ns :]] = True
+        states[0] = states[size]
+    final = states[0] / q if exact else states[0].copy()
     return BatchCells(
         fine_bits,
         visited.reshape(ns, nf),
         counts.reshape(ns, nf) if counts is not None else None,
-        np.asarray(finals, dtype=float),
+        final,
         n,
         transient,
     )
@@ -368,8 +483,16 @@ def visiting_frequency(pmap: PiecewiseMap, x0, V, n: int) -> FrequencySeries:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
+    return _frequency_series(*_sample(pmap, x0, n), V)
+
+
+def _sample(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
+    """The orbit points x_0..x_{n-1} that time averages run over (fewer if truncated)."""
     pts, truncated = orbit_points(pmap, x0, n)
-    pts = pts[: max(1, len(pts) - 1)] if len(pts) > n else pts
+    return (pts[: max(1, len(pts) - 1)] if len(pts) > n else pts), truncated
+
+
+def _frequency_series(pts: np.ndarray, truncated: bool, V) -> FrequencySeries:
     member = np.zeros(len(pts), dtype=float)
     for lo, hi in _as_intervals(V):
         member += ((pts >= lo) & (pts < hi)).astype(float)
@@ -417,8 +540,7 @@ def statistical_omega_estimate(
 
 
 def birkhoff_envelope(pmap: PiecewiseMap, x0, phi: Observable, n: int) -> BirkhoffSeries:
-    pts, truncated = orbit_points(pmap, x0, n)
-    pts = pts[: max(1, len(pts) - 1)] if len(pts) > n else pts
+    pts, truncated = _sample(pmap, x0, n)
     return series_from_values(phi(pts), phi.name, truncated)
 
 
@@ -455,8 +577,11 @@ def empirical_measure(pmap: PiecewiseMap, x0, n: int, eps: float) -> EmpiricalMe
 
 def stats_csv(pmap: PiecewiseMap, x0, phi: Observable, V_list, n: int) -> str:
     """One row per dyadic checkpoint: average, tail envelope, V-frequencies."""
-    series = birkhoff_envelope(pmap, x0, phi, n)
-    freq_series = [visiting_frequency(pmap, x0, V, n) for V in V_list]
+    if V_list and n < 1:
+        raise ValueError("n >= 1 required")
+    pts, truncated = _sample(pmap, x0, n)
+    series = series_from_values(phi(pts), phi.name, truncated)
+    freq_series = [_frequency_series(pts, truncated, V) for V in V_list]
     header = ["n", "average", "tail_sup", "tail_inf"] + [
         f"freq_V{i}" for i in range(len(V_list))
     ]

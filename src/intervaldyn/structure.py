@@ -103,6 +103,10 @@ class PeriodicOrbitTable:
         return "\n".join(lines) + "\n"
 
 
+def _least_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
 def _roots_in_word(pmap, word, lo, hi, samples):
     """Roots of f_word(x) - x on [lo, hi] (monotone composition)."""
     if hi - lo < 1e-15:
@@ -191,6 +195,12 @@ def periodic_orbits(
                 hits = any(
                     min(abs(p - c) for c in pmap.fcritical) < 1e-9 for p in pts
                 )
+                if not hits and word != _least_rotation(word):
+                    # an orbit that misses C has one itinerary per point, so it
+                    # was listed from its least rotation, enumerated earlier at
+                    # this level; its forward-propagated points can lie farther
+                    # than the dedupe tolerance from this root
+                    continue
                 means = {
                     phi.name: float(np.mean([phi(p) for p in pts]))
                     for phi in observables

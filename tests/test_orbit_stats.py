@@ -1,9 +1,13 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from intervaldyn import Observable
+from intervaldyn import Observable, catalog
+from intervaldyn.cells import cells_of_points
+from intervaldyn.mapspec import parse_mapspec
 from intervaldyn.orbit_stats import (
     batch_cells,
     birkhoff_envelope,
@@ -12,6 +16,7 @@ from intervaldyn.orbit_stats import (
     omega_limit_estimate,
     orbit_points,
     statistical_omega_estimate,
+    stats_csv,
     visiting_frequency,
 )
 
@@ -179,3 +184,87 @@ def test_batch_float_map_matches_scalar(logistic32):
     for i, s in enumerate(seeds):
         est = omega_limit_estimate(logistic32, float(s), 2048, 4096, 2.0**-10)
         assert np.array_equal(np.flatnonzero(res.window_visited[i]), est.cells)
+
+
+def test_stats_csv_matches_separate_series(logistic4, doubling_map):
+    V_list = [(0.0, 0.5), [(0.1, 0.2), (0.7, 0.9)]]
+    for pmap, x0, n in ((logistic4, 0.2137, 5000), (doubling_map, Fraction(1, 4), 100)):
+        series = birkhoff_envelope(pmap, x0, PHI_X, n)
+        freqs = [visiting_frequency(pmap, x0, V, n).frequencies for V in V_list]
+        lines = ["n,average,tail_sup,tail_inf,freq_V0,freq_V1"]
+        for i, cp in enumerate(series.checkpoints):
+            values = [series.averages[i], series.env_sup[i], series.env_inf[i]]
+            values += [f[i] for f in freqs]
+            lines.append(",".join([str(int(cp))] + [f"{v:.17g}" for v in values]))
+        assert stats_csv(pmap, x0, PHI_X, V_list, n) == "\n".join(lines) + "\n"
+
+
+# sha256 prefixes of (window_visited, counts, final) recorded before the block
+# kernel replaced the per-step loop: 64 seeds x 2e4 steps, transient 1e4,
+# fine_bits 12.  bimodal has three float expressions (the gather path),
+# tent2 and doubling run on the exact /q path.
+BATCH_DIGESTS = {
+    "logistic3.2": ("90395767351c43cc", "9ae8ee779f5a4c29", "e9675e7c765fb98e"),
+    "logistic3.83": ("f227124576f4bcb7", "58939c329d540faf", "79e23692b727e45f"),
+    "feigenbaum": ("7dea16dd1336e52d", "57fd20d6109f695e", "13e79066d825f021"),
+    "logistic4": ("f6c7abd5abbeb692", "9ee6e4fb4e0b38fa", "e881df7d3950f6c9"),
+    "tent2": ("e381c5db3da49c6e", "49aff517fd4cc8c4", "def9669a36f49844"),
+    "doubling": ("6d10f5f41d1a6edc", "632be47355c690ae", "b01fe1e1ed848a57"),
+    "bimodal": ("2a0c0dd462d56dd7", "d82471b107ea6c20", "816f399d6bb664fd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_DIGESTS))
+def test_batch_cells_pinned(name):
+    pmap = catalog.bimodal() if name == "bimodal" else catalog.standard_catalog()[name]
+    seeds = np.random.default_rng(2021).uniform(0.001, 0.999, 64)
+    res = batch_cells(pmap, seeds, 20_000, 10_000, fine_bits=12, want_counts=True)
+    digests = tuple(
+        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+        for a in (res.window_visited, res.counts, res.final)
+    )
+    assert digests == BATCH_DIGESTS[name]
+
+
+# f(x) = 1 - (1-2x)^2 with its right half spelt two ways (one shared
+# expression, or two), and the flatter f(x) = 1 - |1-2x|^3
+POWER_SPECS = [
+    "branch = (0, 1/2) : 1, -2 : increasing : exp=2, offset=1, sign=-1\n"
+    "branch = (1/2, 1) : 1, -2 : decreasing : exp=2, offset=1, sign=-1\n",
+    "branch = (0, 1/2) : 1, -2 : increasing : exp=2, offset=1, sign=-1\n"
+    "branch = (1/2, 1) : -1, 2 : decreasing : exp=2, offset=1, sign=-1\n",
+    "branch = (0, 1/2) : 1, -2 : increasing : exp=3, offset=1, sign=-1\n"
+    "branch = (1/2, 1) : 1, -2 : decreasing : exp=3, offset=1, sign=1\n",
+]
+
+
+@pytest.mark.parametrize("spec", POWER_SPECS, ids=["square-shared", "square-mirrored", "cube"])
+def test_batch_power_branches_match_scalar(spec):
+    pmap = parse_mapspec(spec + "critical = 1/2\n")
+    seeds = np.array([0.2137, 0.3779, 0.6123, 0.9011])
+    n, transient = 2000, 1000
+    res = batch_cells(pmap, seeds, n, transient, fine_bits=12)
+    for i, s in enumerate(seeds):
+        orb = pmap.iterate_orbit(float(s), n)
+        assert len(orb.points) == n + 1
+        cells = cells_of_points(orb.points[transient:], 2.0**-12)
+        assert np.array_equal(np.flatnonzero(res.window_visited[i]), cells)
+        assert res.final[i] == orb.points[-1]
+
+
+@pytest.mark.parametrize("fine_bits", [33, -1])
+def test_batch_rejects_fine_bits_before_allocating(fine_bits, logistic4, tent2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking fine_bits")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    for pmap in (logistic4, tent2):
+        with pytest.raises(ValueError, match="fine_bits"):
+            batch_cells(pmap, np.array([0.3, 0.6]), 10, 5, fine_bits=fine_bits)
+
+
+def test_batch_rejects_empty_blocks(logistic4):
+    # a block of no steps never advances the orbit
+    with pytest.raises(ValueError, match="chunk"):
+        batch_cells(logistic4, np.array([0.3]), 10, 5, chunk=0)

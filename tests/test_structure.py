@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -49,10 +50,35 @@ def test_periodic_orbits_logistic4_fixed_points(logistic4):
     assert np.allclose(pts, [0.0, 0.75], atol=1e-12)
 
 
+def _necklaces(q: int) -> int:
+    """Primitive binary necklaces of length q: the period-q orbits of the 2-shift."""
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0, 10: 1, 11: -1, 12: 0}
+    return sum(mobius[d] * 2 ** (q // d) for d in range(1, q + 1) if q % d == 0) // q
+
+
 def test_fix_counts_doubling_powers(logistic4):
-    table = periodic_orbits(logistic4, 10, [])
-    for q in range(1, 11):
+    table = periodic_orbits(logistic4, 12, [])
+    for q in range(1, 13):
         assert table.fix_counts[q] == 2**q, (q, table.fix_counts[q])
+        # each orbit once, also where its points sit farther apart than the
+        # dedupe tolerance from the roots found under its other rotations
+        assert len(table.of_period(q)) == _necklaces(q), q
+    assert len(table.orbits) == 747
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("logistic4", "8e8c69dcefad"),
+        ("logistic3.83", "541c0728e5ed"),
+        ("bimodal", "017dcd5ce4dc"),
+    ],
+)
+def test_periodic_orbit_table_pinned(name, digest):
+    # sha256 prefixes of to_csv() at Q = 8, the depth the historic command uses
+    pmap = catalog.bimodal() if name == "bimodal" else catalog.standard_catalog()[name]
+    csv = periodic_orbits(pmap, 8, [PHI_X]).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest()[:12] == digest
 
 
 def test_periodic_orbit_verification_invariants(logistic4):
