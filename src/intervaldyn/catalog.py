@@ -259,13 +259,14 @@ def logistic_feigenbaum() -> PiecewiseMap:
     return logistic(feigenbaum_lambda())
 
 
+#: family name -> (constructor, its parameters with their defaults)
 FAMILIES = {
-    "logistic": lambda **kw: logistic(kw.get("lam", kw.get("lambda", 4))),
-    "tent": lambda **kw: tent(kw.get("slope", 2)),
-    "doubling": lambda **kw: doubling(),
-    "lorenz": lambda **kw: lorenz(),
-    "bimodal": lambda **kw: bimodal(),
-    "zigzag3": lambda **kw: zigzag3(),
+    "logistic": (logistic, {"lam": 4}),
+    "tent": (tent, {"slope": 2}),
+    "doubling": (doubling, {}),
+    "lorenz": (lorenz, {}),
+    "bimodal": (bimodal, {}),
+    "zigzag3": (zigzag3, {}),
 }
 
 

@@ -67,6 +67,13 @@ def _json_doc(args, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def _unit_float(text: str) -> float:
+    x = float(text)
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return x
+
+
 def _phi(spec: str) -> Observable:
     kind, _, rest = spec.partition(":")
     if kind == "poly":
@@ -282,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("orbit")
-    p.add_argument("--x0", type=float, default=0.2137)
+    p.add_argument("--x0", type=_unit_float, default=0.2137)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("stats")
-    p.add_argument("--x0", type=float, default=0.2137)
+    p.add_argument("--x0", type=_unit_float, default=0.2137)
     p.add_argument("--phi", default="poly:0,1")
     p.add_argument("--window", default="0:0.5", help="V interval lo:hi")
     p.set_defaults(func=cmd_stats)

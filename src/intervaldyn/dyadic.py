@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import isqrt
 
 
 def from_fraction(fr: Fraction, p: int, round_up: bool = False) -> int:
@@ -42,97 +41,27 @@ def to_fraction(m: int, p: int) -> Fraction:
     return Fraction(m, 1 << p)
 
 
-def mul_down(a: int, b: int, p: int) -> int:
-    return (a * b) >> p
+def _lead_product(lead: int, x: int, p: int, round_up: bool) -> int:
+    """(lead * x) / 2^p rounded down or up, skipping lead's trailing zero bits.
 
-
-def mul_up(a: int, b: int, p: int) -> int:
-    return -((-(a * b)) >> p)
+    An integer or other dyadic coefficient has about p such bits, so the
+    product is a small-by-big multiplication instead of a p-by-p one.
+    """
+    z = min((lead & -lead).bit_length() - 1, p) if lead else p
+    prod = (lead >> z) * x
+    return -((-prod) >> (p - z)) if round_up else prod >> (p - z)
 
 
 def poly_down(coeffs: tuple[int, ...], x: int, p: int) -> int:
     """Horner lower bound of sum c_k x^k for mantissas, x >= 0."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    acc = _lead_product(coeffs[-1], x, p, False) + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         acc = ((acc * x) >> p) + c
     return acc
 
 
 def poly_up(coeffs: tuple[int, ...], x: int, p: int) -> int:
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    acc = _lead_product(coeffs[-1], x, p, True) + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         acc = -((-(acc * x)) >> p) + c
     return acc
-
-
-def sqrt_down(m: int, p: int) -> int:
-    """Lower mantissa bound of sqrt(m / 2^p)."""
-    if m <= 0:
-        return 0
-    return isqrt(m << p)
-
-
-def sqrt_up(m: int, p: int) -> int:
-    if m <= 0:
-        return 0
-    s = isqrt(m << p)
-    return s if s * s == (m << p) else s + 1
-
-
-class DyadicInterval:
-    """Closed interval [lo, hi] of mantissas at precision p."""
-
-    __slots__ = ("lo", "hi", "p")
-
-    def __init__(self, lo: int, hi: int, p: int):
-        if lo > hi:
-            raise ValueError("empty dyadic interval")
-        self.lo = lo
-        self.hi = hi
-        self.p = p
-
-    @classmethod
-    def from_fractions(cls, lo: Fraction, hi: Fraction, p: int) -> "DyadicInterval":
-        return cls(from_fraction(lo, p), from_fraction(hi, p, round_up=True), p)
-
-    @classmethod
-    def point(cls, fr: Fraction, p: int) -> "DyadicInterval":
-        return cls.from_fractions(fr, fr, p)
-
-    def width(self) -> float:
-        return to_float(self.hi - self.lo, self.p)
-
-    def floats(self) -> tuple[float, float]:
-        return to_float(self.lo, self.p), to_float(self.hi, self.p)
-
-    def midpoint(self) -> int:
-        return (self.lo + self.hi) // 2
-
-    def contains(self, m: int) -> bool:
-        return self.lo <= m <= self.hi
-
-    def intersect(self, other: "DyadicInterval") -> "DyadicInterval | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return DyadicInterval(lo, hi, self.p)
-
-
-def branch_mantissas(branch, p: int) -> tuple[int, ...]:
-    """Outward-safe mantissas are not needed for coefficients; they are exact
-    when dyadic and nearest-rounded otherwise (the enclosure slack absorbs
-    the half-ulp)."""
-    return tuple(from_fraction(c, p) for c in branch.coeffs)
-
-
-def branch_image(branch, coeffs_m: tuple[int, ...], iv: DyadicInterval) -> DyadicInterval:
-    """Enclosure of the branch image of iv (branch monotone, polynomial).
-
-    Slack of one ulp per coefficient absorbs the nearest-rounding of any
-    non-dyadic coefficient.
-    """
-    p = iv.p
-    slack = len(coeffs_m)
-    lo_candidates = (poly_down(coeffs_m, iv.lo, p), poly_down(coeffs_m, iv.hi, p))
-    hi_candidates = (poly_up(coeffs_m, iv.lo, p), poly_up(coeffs_m, iv.hi, p))
-    return DyadicInterval(min(lo_candidates) - slack, max(hi_candidates) + slack, p)

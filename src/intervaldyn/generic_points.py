@@ -10,10 +10,18 @@ nested interval J_K whose every point realizes the planned partial-average
 swings; propagating J_K forward with outward rounding then *re-certifies*
 the envelope independently of the pullback arithmetic.
 
-Precision: the chain runs at a few hundred bits (interval widths stay at
-the shadow-ball scale); only the pullback and the certification pass need
-precision proportional to the accumulated expansion, which is scheduled
-adaptively.  Double precision would die after ~50 steps.
+Precision: the chain starts at CHAIN_BITS and doubles when a phase needs a
+finer ball floor.  The pullback and the certification pass need precision
+proportional to the accumulated expansion.  The pullback raises its
+precision with the backward contraction and returns the precision it used
+at each step.  The forward pass starts at the largest of these and then
+follows the schedule down: step j runs at the larger of the precisions of
+steps j and j + 1, and surplus bits are shed in chunks of at least
+SHED_BITS, flooring lo and ceiling hi.  Both round outward, so the interval
+stays an enclosure whatever the schedule; a schedule that is too low can
+only widen it, until it straddles the critical set and the pass raises
+EnvelopeViolation instead of certifying a looser envelope.  Double
+precision would die after ~50 steps.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ from .orbit_stats import BirkhoffSeries, series_from_values
 from .structure import birkhoff_max_oracle, periodic_orbits, strong_transitivity_check
 
 CHAIN_BITS = 320
+SHADOW_EPS = 1e-3
+DOMINANCE = 4.0
+CONN_BUDGET = 512
+SHED_BITS = 64  # the forward pass drops surplus precision in chunks of at least this
 
 
 def _frac_hex(fr: Fraction) -> str:
@@ -44,9 +56,6 @@ def _frac_hex(fr: Fraction) -> str:
 def frac_from_hex(s: str) -> Fraction:
     num, den = s.split("/")
     return Fraction(int(num, 16), int(den, 16))
-SHADOW_EPS = 1e-3
-DOMINANCE = 4.0
-CONN_BUDGET = 512
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +86,10 @@ class _BranchArith:
 
     def image_inner(self, lo, hi, p, cm):
         """Interval certainly contained in the branch image of [lo, hi]."""
-        a_up, b_down = self.val_up(lo, p, cm), self.val_down(hi, p, cm)
-        a_down, b_up = self.val_down(lo, p, cm), self.val_up(hi, p, cm)
         if self.mono == "increasing":
-            ilo, ihi = a_up, b_down
+            ilo, ihi = self.val_up(lo, p, cm), self.val_down(hi, p, cm)
         else:
-            ilo, ihi = b_up, a_down
+            ilo, ihi = self.val_up(hi, p, cm), self.val_down(lo, p, cm)
         return ilo + 2, ihi - 2
 
     def image_outer(self, lo, hi, p, cm):
@@ -93,7 +100,6 @@ class _BranchArith:
     def inverse_inner(self, ylo, yhi, p):
         """Interval certainly inside the branch preimage of [ylo, yhi]."""
         c = self.coeffs
-        one = 1 << p
         if len(c) == 2:
             a0 = dyadic.from_fraction(c[0], p)
             num, den = c[1].numerator, c[1].denominator
@@ -105,32 +111,36 @@ class _BranchArith:
                 xlo = -((-(yhi - a0) * den) // num) + 1
                 xhi = ((ylo - a0) * den) // num - 1
             return (xlo, xhi) if xlo <= xhi else None
-        a0, a1, a2 = c
-        roots = []
-        for y, round_up in ((ylo, None), (yhi, None)):
-            # a2 x^2 + a1 x + (a0 - y) = 0, mantissa scale 2^p
-            a0m = dyadic.from_fraction(a0, p)
-            a1m = dyadic.from_fraction(a1, p)
-            a2m = dyadic.from_fraction(a2, p)
-            cm = a0m - y
-            disc = a1m * a1m - 4 * a2m * cm  # scale 2^(2p)
-            if disc < 0:
-                disc = 0
-            sq = isqrt(disc)  # scale 2^p
-            r1 = ((-a1m - sq) << p) // (2 * a2m)
-            r2 = ((-a1m + sq) << p) // (2 * a2m)
-            flo = dyadic.from_fraction(self.lo, p)
-            fhi = dyadic.from_fraction(self.hi, p)
-            picked = None
-            for r in (r1, r2):
-                if flo - (1 << max(p - 40, 1)) <= r <= fhi + (1 << max(p - 40, 1)):
-                    picked = r
-                    break
-            if picked is None:
-                picked = min((r1, r2), key=lambda r: abs(r - (flo + fhi) // 2))
-            roots.append(picked)
-        xlo, xhi = min(roots), max(roots)
-        xlo, xhi = xlo + 3, xhi - 3  # inward slack for rounding
+        # a2 x^2 + a1 x + a0 = y for x = X / 2^p, y = Y / 2^p.  Scaled by the
+        # common denominator L of the coefficients (A_k = L a_k), the
+        # discriminant N = (A1 2^p)^2 - 4 A2 (A0 2^p - L Y) 2^p is an exact
+        # integer and sq = L floor(sqrt(N) / L) is exact up to L, so a root
+        # floor((-A1 2^p +- sq) / (2 A2)) is within 1 + 1 / (2 |a2|) ulps of
+        # the exact one.  When every a_k 2^p is an integer this is the
+        # mantissa formula ((-a1m +- isqrt(disc)) << p) // (2 a2m) bit for bit.
+        den = math.lcm(*(v.denominator for v in c))
+        A0, A1, A2 = (int(v * den) for v in c)
+        b, a0s = A1 << p, A0 << p
+        b2 = (A1 * A1) << (2 * p)  # b * b without a p-by-p multiplication
+        sqs = [
+            den * (isqrt(max(b2 - 4 * A2 * ((a0s - den * y) << p), 0)) // den)
+            for y in (ylo, yhi)
+        ]
+        # one sign for both ends, so the interval never straddles the vertex:
+        # the first root of the end farther from the vertex that lies in the
+        # branch domain (up to 2^(p-40)), else the one nearer its middle
+        flo, fhi = dyadic.from_fraction(self.lo, p), dyadic.from_fraction(self.hi, p)
+        tol = 1 << max(p - 40, 1)
+        far = max(sqs)
+        sign = next(
+            (s for s in (-1, 1) if flo - tol <= (-b + s * far) // (2 * A2) <= fhi + tol),
+            None,
+        )
+        if sign is None:
+            sign = min((-1, 1), key=lambda s: abs((-b + s * far) // (2 * A2) - (flo + fhi) // 2))
+        roots = [(-b + sign * sq) // (2 * A2) for sq in sqs]
+        slack = 2 + math.ceil(1 / (2 * abs(c[2])))  # inward, covers the root error
+        xlo, xhi = min(roots) + slack, max(roots) - slack
         return (xlo, xhi) if xlo <= xhi else None
 
 
@@ -228,7 +238,6 @@ class _ChainBuilder:
         self.arith = [_BranchArith(b) for b in pmap.branches]
         self.cm = [a.mantissas(self.p) for a in self.arith]
         self.cuts = [dyadic.from_fraction(b, self.p) for b in pmap.breakpoints[1:-1]]
-        self.crit = [dyadic.from_fraction(c, self.p) for c in pmap.critical]
         self.shadow_eps = shadow_eps
         self.branch_word: list[int] = []
         self.slope_log2: list[float] = []
@@ -252,15 +261,8 @@ class _ChainBuilder:
     def _ensure_precision(self):
         # shadow phases at repelling orbits thin the chain exponentially;
         # double the working precision whenever the width nears the ulp scale
-        if self.hi - self.lo >= (1 << max(self.p - 128, 8)):
-            return
-        shift = self.p
-        self.p *= 2
-        self.lo <<= shift
-        self.hi <<= shift
-        self.cm = [a.mantissas(self.p) for a in self.arith]
-        self.cuts = [dyadic.from_fraction(b, self.p) for b in self.pmap.breakpoints[1:-1]]
-        self.crit = [dyadic.from_fraction(c, self.p) for c in self.pmap.critical]
+        if self.hi - self.lo < (1 << max(self.p - 128, 8)):
+            self._grow_to(2 * self.p)
 
     def _advance(self, idx, constraint=None):
         """One chain step through branch idx, optionally meeting a constraint."""
@@ -297,7 +299,6 @@ class _ChainBuilder:
             self.hi <<= shift
             self.cm = [a.mantissas(self.p) for a in self.arith]
             self.cuts = [dyadic.from_fraction(b, self.p) for b in self.pmap.breakpoints[1:-1]]
-            self.crit = [dyadic.from_fraction(c, self.p) for c in self.pmap.critical]
 
     def plan_phase(self, length: int, slope_bits: float):
         """Reserve precision and the ball floor for a phase of known length."""
@@ -416,7 +417,10 @@ class _ChainBuilder:
 def _pullback(pmap, branch_word, target_lo: Fraction, target_hi: Fraction, slopes):
     """Nested interval in the time-0 fiber of the chain (inner rounding).
 
-    Precision grows with the accumulated backward contraction.
+    Precision grows with the accumulated backward contraction.  Returns the
+    interval's endpoints and the precision schedule: ``bits[j]`` is the
+    precision of the interval at time j, so ``bits[0]`` is the full working
+    precision and ``bits[-1]`` that of the target.
     """
     ariths = [_BranchArith(b) for b in pmap.branches]
     suffix = np.concatenate([np.cumsum(slopes[::-1])[::-1], [0.0]])
@@ -426,6 +430,7 @@ def _pullback(pmap, branch_word, target_lo: Fraction, target_hi: Fraction, slope
     width_bits = max(0, width.denominator.bit_length() - width.numerator.bit_length())
     base = width_bits + 128
     p = base
+    bits = [base] * (len(branch_word) + 1)
     ylo = dyadic.from_fraction(target_lo, p)
     yhi = dyadic.from_fraction(target_hi, p, round_up=True)
     for j in range(len(branch_word) - 1, -1, -1):
@@ -439,23 +444,44 @@ def _pullback(pmap, branch_word, target_lo: Fraction, target_hi: Fraction, slope
         if res is None:
             raise EnvelopeViolation(f"pullback emptied at step {j}")
         ylo, yhi = res
-    return dyadic.to_fraction(ylo, p), dyadic.to_fraction(yhi, p), p
+        bits[j] = p
+    return dyadic.to_fraction(ylo, p), dyadic.to_fraction(yhi, p), bits
 
 
-def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, n: int, p: int):
+def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
     """Outward interval propagation of [j_lo, j_hi]; per-step phi bounds.
 
     Independent of the pullback arithmetic: this is the envelope's source
     of truth.  Raises if the interval ever straddles the critical set.
+
+    ``bits`` is the pullback's precision schedule; the propagation runs
+    ``len(bits) - 1`` steps.  Step j needs no more than the larger of
+    ``bits[j]`` and ``bits[j + 1]`` (the second covers a step that
+    contracts its image near a critical point), and surplus bits are shed
+    in chunks of at least SHED_BITS by rounding lo down and hi up.  A
+    schedule that is too low can only widen the interval, until it
+    straddles C and raises.
     """
+    n = len(bits) - 1
+    p = bits[0]
     ariths = [_BranchArith(b) for b in pmap.branches]
-    cms = [a.mantissas(p) for a in ariths]
-    cuts = [dyadic.from_fraction(b, p) for b in pmap.breakpoints[1:-1]]
+
+    def tables(p):
+        cms = [a.mantissas(p) for a in ariths]
+        return cms, [dyadic.from_fraction(b, p) for b in pmap.breakpoints[1:-1]]
+
+    cms, cuts = tables(p)
     lo = dyadic.from_fraction(j_lo, p)
     hi = dyadic.from_fraction(j_hi, p, round_up=True)
     phi_lo = np.empty(n)
     phi_hi = np.empty(n)
     for j in range(n):
+        s = p - max(bits[j], bits[j + 1])
+        if s >= SHED_BITS:
+            lo >>= s
+            hi = -((-hi) >> s)
+            p -= s
+            cms, cuts = tables(p)
         flo = max(dyadic.to_float(lo, p), 0.0)
         fhi = min(dyadic.to_float_up(hi, p), 1.0)
         blo, bhi = phi.range_on(Fraction(flo), Fraction(max(fhi, flo)))
@@ -590,8 +616,9 @@ def construct_historic_point(
     t_lo = dyadic.to_fraction(builder.lo, builder.p)
     t_hi = dyadic.to_fraction(builder.hi, builder.p)
 
-    j_lo, j_hi, p_full = _pullback(pmap, word, t_lo, t_hi, slopes)
-    phi_lo, phi_hi = _certify_forward(pmap, phi, j_lo, j_hi, total, p_full)
+    j_lo, j_hi, bits = _pullback(pmap, word, t_lo, t_hi, slopes)
+    p_full = bits[0]
+    phi_lo, phi_hi = _certify_forward(pmap, phi, j_lo, j_hi, bits)
     avg_lo = _sum_scaled(phi_lo)
     avg_hi = _sum_scaled(phi_hi, round_up=True)
 

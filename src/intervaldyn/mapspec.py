@@ -3,7 +3,8 @@
 Grammar (one ``key = value`` pair per line, ``#`` comments):
 
     family = logistic | tent | doubling | lorenz | bimodal | zigzag3
-    lam    = 3.2            # family parameters; also: slope = 2
+    lam    = 3.2            # family parameters: logistic lam (alias lambda),
+                            # tent slope; an omitted one takes its default
     name   = my-map         # optional
 
 or an explicit piecewise map:
@@ -15,7 +16,8 @@ or an explicit piecewise map:
     critical = 1/2
 
 Numbers may be written as decimals or fractions; they are taken exactly.
-Overlapping or out-of-order branch domains are rejected.
+Overlapping or out-of-order branch domains are rejected, and so are keys
+the family does not take and parameters whose map leaves [0,1].
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .branch import BranchSpec, DECREASING, INCREASING
 from .catalog import FAMILIES
-from .errors import MapSpecError
+from .errors import IntervalDynError, MapSpecError
 from .maps import PiecewiseMap
 
 
@@ -81,9 +83,9 @@ def _parse_branch(value: str, line: int) -> BranchSpec:
 
 def parse_mapspec(text: str, name: str = "") -> PiecewiseMap:
     family = None
-    params: dict[str, object] = {}
     branches: list[tuple[int, BranchSpec]] = []
     critical: list[Fraction] = []
+    params: dict[str, tuple[Fraction, int]] = {}  # key -> (value, line)
     given_name = name
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -102,23 +104,36 @@ def parse_mapspec(text: str, name: str = "") -> PiecewiseMap:
         elif key == "name":
             given_name = value
         else:
-            try:
-                params[key] = _number(value, lineno)
-            except MapSpecError:
-                params[key] = value
+            params["lam" if key == "lambda" else key] = (_number(value, lineno), lineno)
 
     if family is not None:
         if branches or critical:
             raise MapSpecError("family specs cannot also declare branches")
         if family not in FAMILIES:
             raise MapSpecError(f"unknown family {family!r}; know {sorted(FAMILIES)}")
-        pmap = FAMILIES[family](**params)
+        build, defaults = FAMILIES[family]
+        for key, (_, lineno) in params.items():
+            if key not in defaults:
+                raise MapSpecError(
+                    f"unknown parameter {key!r} for family {family!r}; know {sorted(defaults)}",
+                    lineno,
+                )
+        kwargs = {**defaults, **{key: value for key, (value, _) in params.items()}}
+        try:
+            pmap = build(**kwargs)
+        except IntervalDynError as exc:
+            shown = ", ".join(f"{k} = {v}" for k, v in kwargs.items())
+            raise MapSpecError(f"invalid {family} map ({shown}): {exc}") from None
         if given_name:
-            pmap.name = given_name
+            # a fresh map: catalog constructors may hand out shared cached objects
+            pmap = PiecewiseMap(pmap.branches, pmap.critical, name=given_name)
         return pmap
 
     if not branches:
         raise MapSpecError("spec declares neither a family nor branches")
+    if params:
+        key, (_, lineno) = next(iter(params.items()))
+        raise MapSpecError(f"unknown key {key!r} in a branch spec", lineno)
     branches.sort(key=lambda lb: lb[1].lo)
     for (l1, b1), (l2, b2) in zip(branches, branches[1:]):
         if b2.lo < b1.hi:

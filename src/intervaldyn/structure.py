@@ -192,9 +192,7 @@ def periodic_orbits(
                     for b in pts[i + 1 :]
                 ):
                     continue  # lower-period orbit traversed multiple times
-                hits = any(
-                    min(abs(p - c) for c in pmap.fcritical) < 1e-9 for p in pts
-                )
+                hits = any(abs(p - c) < 1e-9 for p in pts for c in pmap.fcritical)
                 if not hits and word != _least_rotation(word):
                     # an orbit that misses C has one itinerary per point, so it
                     # was listed from its least rotation, enumerated earlier at

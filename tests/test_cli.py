@@ -133,3 +133,43 @@ def test_verify_command_logistic4(tmp_path):
     assert rc == 0
     doc = json.loads((out / "verify.json").read_text())
     assert doc["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("family = logistic\nlamda = 16/5\n", "unknown parameter 'lamda'"),
+        ("family = logistic\nlam = 5\n", "invalid logistic map (lam = 5)"),
+        ("family = tent\nlam = 2\n", "unknown parameter 'lam'"),
+        ("branch = (0, 1) : 0, 1 : inc\ncritcal = 1/2\n", "unknown key 'critcal'"),
+    ],
+    ids=["misspelt-parameter", "map-leaves-unit-interval", "other-family-parameter", "misspelt-key"],
+)
+def test_bad_family_spec_exits_2(tmp_path, capsys, text, message):
+    spec = tmp_path / "bad.map"
+    spec.write_text(text)
+    rc = main(["--map", str(spec), "--out", str(tmp_path / "x"), "orbit"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_named_lorenz_spec_leaves_catalog_map_unrenamed(tmp_path):
+    from intervaldyn import catalog
+    from intervaldyn.mapspec import load_mapspec
+
+    spec = tmp_path / "lorenz.map"
+    spec.write_text("family = lorenz\nname = my-lorenz\n")
+    rc = main(["--map", str(spec), "--out", str(tmp_path / "o"), "--horizon", "10", "orbit"])
+    assert rc == 0
+    assert load_mapspec(spec).name == "my-lorenz"
+    assert catalog.lorenz().name == "lorenz"
+
+
+@pytest.mark.parametrize("command", ["orbit", "stats"])
+@pytest.mark.parametrize("x0", ["1.5", "-0.1", "nan"])
+def test_x0_outside_unit_interval_exits_2(tmp_path, spec_logistic32, command, x0):
+    with pytest.raises(SystemExit) as exc:
+        main(["--map", spec_logistic32, "--out", str(tmp_path / "o"), command, "--x0", x0])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()

@@ -1,12 +1,15 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from intervaldyn import Observable
-from intervaldyn.errors import NotClassified
+from intervaldyn import Observable, catalog, generic_points
+from intervaldyn.errors import EnvelopeViolation, NotClassified
 from intervaldyn.generic_points import (
+    _BranchArith,
+    _certify_forward,
     construct_historic_point,
     construct_max_average_point,
     verify_witness,
@@ -20,6 +23,31 @@ FULL = [(0.0, 1.0)]
 @pytest.fixture(scope="module")
 def logistic4_witness(logistic4):
     return construct_historic_point(logistic4, FULL, PHI_X, (0.75,), (0.0,), stages=2)
+
+
+@pytest.fixture(scope="module")
+def tent2_witness(tent2):
+    return construct_historic_point(tent2, FULL, PHI_X, (2 / 3,), (0.0,), stages=2)
+
+
+@pytest.fixture(scope="module")
+def doubling_witness(doubling_map):
+    return construct_historic_point(doubling_map, FULL, PHI_X, (1 / 3, 2 / 3), (0.0,), stages=2)
+
+
+# sha256 of to_json() of the stages=2 witnesses: neither the forward pass's
+# precision schedule nor a faster exact arithmetic may move a bit of them
+WITNESS_DIGESTS = {
+    "tent2": "781ec3c6750b8be0cfee00f31d3da516452660966570490e8d87a8f0421fc4a4",
+    "logistic4": "3d7a2577c302b30aa770f50fe26b763b39508db36aa3bfa898607c17de069f03",
+    "doubling": "ba062ce59bd0ea54dbd7a678be59a96558b12a4fb1dcbf117847684573857373",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))
+def test_witness_json_pinned(request, name):
+    witness = request.getfixturevalue(f"{name}_witness")
+    assert hashlib.sha256(witness.to_json().encode()).hexdigest() == WITNESS_DIGESTS[name]
 
 
 def test_historic_witness_logistic4(logistic4, logistic4_witness):
@@ -51,17 +79,15 @@ def test_witness_rejects_equal_means(logistic4):
         construct_historic_point(logistic4, FULL, PHI_X, (0.75,), (0.75,), stages=1)
 
 
-def test_doubling_witness_gap(doubling_map):
-    w = construct_historic_point(
-        doubling_map, FULL, PHI_X, (1 / 3, 2 / 3), (0.0,), stages=2
-    )
+def test_doubling_witness_gap(doubling_map, doubling_witness):
+    w = doubling_witness
     assert w.envelope_gap() >= 0.25
     report = verify_witness(doubling_map, w)
     assert report.violations == 0
 
 
-def test_tent_witness(tent2):
-    w = construct_historic_point(tent2, FULL, PHI_X, (2 / 3,), (0.0,), stages=2)
+def test_tent_witness(tent2, tent2_witness):
+    w = tent2_witness
     assert w.envelope_gap() >= 0.4
     assert verify_witness(tent2, w).violations == 0
 
@@ -148,3 +174,70 @@ def test_witness_json_roundtrip(logistic4_witness):
     lo_str, hi_str = doc["stages"][-1]["interval"]
     assert frac_from_hex(lo_str) == logistic4_witness.final_interval[0]
     assert frac_from_hex(hi_str) == logistic4_witness.final_interval[1]
+
+
+def _captured_certify(monkeypatch):
+    """Record the arguments construct_historic_point passes to _certify_forward."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _certify_forward(*args)
+
+    monkeypatch.setattr(generic_points, "_certify_forward", spy)
+    return calls
+
+
+def test_precision_schedule_keeps_every_bound(monkeypatch, tent2):
+    calls = _captured_certify(monkeypatch)
+    w = construct_historic_point(tent2, FULL, PHI_X, (2 / 3,), (0.0,), stages=2)
+    (pmap, phi, j_lo, j_hi, bits), = calls
+    assert bits[0] == w.precision_bits and len(bits) == w.total_steps + 1
+    assert all(a >= b for a, b in zip(bits, bits[1:]))
+    assert bits[-1] < bits[0] - 64  # the pass does shed precision
+    scheduled = _certify_forward(pmap, phi, j_lo, j_hi, bits)
+    uniform = _certify_forward(pmap, phi, j_lo, j_hi, [bits[0]] * len(bits))
+    assert np.array_equal(scheduled[0], uniform[0])
+    assert np.array_equal(scheduled[1], uniform[1])
+
+
+def test_starved_schedule_raises(monkeypatch, tent2):
+    calls = _captured_certify(monkeypatch)
+    construct_historic_point(tent2, FULL, PHI_X, (2 / 3,), (0.0,), stages=1)
+    (pmap, phi, j_lo, j_hi, bits), = calls
+    # too few bits after the first step: the interval widens until it meets C
+    starved = [bits[0]] + [96] * (len(bits) - 1)
+    with pytest.raises(EnvelopeViolation, match="straddles C"):
+        _certify_forward(pmap, phi, j_lo, j_hi, starved)
+
+
+@pytest.mark.parametrize("p", [64, 256])
+def test_inverse_inner_sound_on_non_dyadic_branch(p):
+    # logistic(3.83): no coefficient is dyadic, and near the critical value
+    # the two roots of each endpoint merge
+    lam = Fraction(383, 100)
+    top = lam / 4
+    one = 1 << p
+    centers = [top * k / 16 for k in range(1, 16)]
+    centers += [top * (1 - Fraction(1, 1 << k)) for k in range(4, p - 8, 12)]
+    targets = []
+    for c in centers:
+        m = int(c * one)
+        for w in (64, 1 << (p // 2), 1 << (p - 12)):
+            targets.append((max(m - w, 0), m + w))
+    peak = int(top * one)
+    targets += [(peak - w, peak - g) for w in (1 << 20, 1 << (p // 2)) for g in (0, 1, 5)]
+    for branch in catalog.logistic(lam).branches:
+        arith = _BranchArith(branch)
+        found = 0
+        for ylo, yhi in targets:
+            res = arith.inverse_inner(ylo, yhi, p)
+            if res is None:
+                continue
+            found += 1
+            xlo, xhi = (Fraction(v, one) for v in res)
+            image = [lam * x * (1 - x) for x in (xlo, xhi)]
+            if xlo <= Fraction(1, 2) <= xhi:
+                image.append(top)
+            assert Fraction(ylo, one) <= min(image) and max(image) <= Fraction(yhi, one), (ylo, yhi)
+        assert found >= len(targets) * 2 // 3

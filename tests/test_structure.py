@@ -50,6 +50,13 @@ def test_periodic_orbits_logistic4_fixed_points(logistic4):
     assert np.allclose(pts, [0.0, 0.75], atol=1e-12)
 
 
+def test_periodic_orbits_without_critical_points():
+    # x -> x/2 has no critical point; its only periodic orbit is the fixed point 0
+    table = periodic_orbits(halving_map(), 2, [PHI_X])
+    assert [o.points for o in table.orbits] == [(0.0,)]
+    assert table.fix_counts == {1: 1, 2: 1}
+
+
 def _necklaces(q: int) -> int:
     """Primitive binary necklaces of length q: the period-q orbits of the 2-shift."""
     mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0, 10: 1, 11: -1, 12: 0}
