@@ -11,7 +11,6 @@ the fast paths.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable
 
@@ -297,7 +296,3 @@ def power_branch(lo, hi, offset, phi_coeffs, exponent, monotonicity, sign=1) -> 
     """Composite branch offset + sign*(phi(x))**exponent."""
     return BranchSpec(lo, hi, phi_coeffs, monotonicity, exponent=exponent, offset=offset, sign=sign)
 
-
-def locate(points: list[float], x: float) -> int:
-    """Index of the partition interval of ``points`` containing x."""
-    return max(0, bisect_right(points, x) - 1)

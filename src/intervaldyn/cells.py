@@ -75,10 +75,6 @@ def runs(cells: np.ndarray, gap: int = 1) -> list[tuple[int, int]]:
     return [(int(cells[s]), int(cells[e])) for s, e in zip(starts, ends)]
 
 
-def cells_to_intervals(cells: np.ndarray, eps: float, gap: int = 1) -> list[tuple[float, float]]:
-    return [(s * eps, (e + 1) * eps) for s, e in runs(cells, gap)]
-
-
 def intervals_to_cells(intervals, eps: float) -> np.ndarray:
     n = ncells(eps)
     mask = np.zeros(n, dtype=bool)
@@ -97,13 +93,3 @@ def neighborhood(cells: np.ndarray, width: int, n: int) -> np.ndarray:
         mask[1:] |= mask[:-1].copy()
         mask[:-1] |= mask[1:].copy()
     return np.flatnonzero(mask).astype(np.int64)
-
-
-def subset_within(a: np.ndarray, b: np.ndarray, slack: int, n: int) -> bool:
-    """True when every cell of a lies within `slack` cells of b."""
-    if len(a) == 0:
-        return True
-    if len(b) == 0:
-        return False
-    nb = neighborhood(b, slack, n)
-    return bool(np.isin(a, nb).all())

@@ -126,18 +126,10 @@ class _BranchArith:
             den * (isqrt(max(b2 - 4 * A2 * ((a0s - den * y) << p), 0)) // den)
             for y in (ylo, yhi)
         ]
-        # one sign for both ends, so the interval never straddles the vertex:
-        # the first root of the end farther from the vertex that lies in the
-        # branch domain (up to 2^(p-40)), else the one nearer its middle
-        flo, fhi = dyadic.from_fraction(self.lo, p), dyadic.from_fraction(self.hi, p)
-        tol = 1 << max(p - 40, 1)
-        far = max(sqs)
-        sign = next(
-            (s for s in (-1, 1) if flo - tol <= (-b + s * far) // (2 * A2) <= fhi + tol),
-            None,
-        )
-        if sign is None:
-            sign = min((-1, 1), key=lambda s: abs((-b + s * far) // (2 * A2) - (flo + fhi) // 2))
+        # f'(x) = 2 a2 x + a1 = +-sqrt(disc) at the root (-a1 +- sqrt(disc)) / (2 a2),
+        # so the branch's monotonicity picks the sign: one sign for both ends,
+        # on the branch's side of the vertex
+        sign = 1 if self.mono == "increasing" else -1
         roots = [(-b + sign * sq) // (2 * A2) for sq in sqs]
         slack = 2 + math.ceil(1 / (2 * abs(c[2])))  # inward, covers the root error
         xlo, xhi = min(roots) + slack, max(roots) - slack

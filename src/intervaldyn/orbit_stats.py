@@ -21,6 +21,7 @@ are sup/inf of partial values over the window (n/2, n].
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from . import dyadic
 from .branch import BranchSpec
 from .catalog import ORBIT_PRIME
 from .cells import cells_of_points, ncells
+from .errors import ResolutionTooFine
 from .maps import PiecewiseMap, Termination
 from .observables import Observable
 
@@ -42,8 +44,31 @@ DYADIC_ORBIT_BITS = 41000
 # orbit engines
 
 
+#: The last orbit orbit_points computed: (map, (type(x0), repr(x0), n), result).
+#: The statistics of one orbit (omega, omega*, the Birkhoff envelope) each
+#: ask for it in turn; one held orbit serves them all and bounds what is kept.
+_last_orbit: tuple | None = None
+
+
 def orbit_points(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
-    """Orbit array x_0..x_n (possibly shorter) plus a truncation flag."""
+    """Orbit array x_0..x_n (possibly shorter) plus a truncation flag.
+
+    The array is read-only: the last orbit computed is held and returned
+    again for the same map object, the same x0 (type and value) and n.
+    """
+    global _last_orbit
+    key = (type(x0), repr(x0), n)
+    held = _last_orbit
+    if held is not None and held[0] is pmap and held[1] == key:
+        return held[2]
+    held = _last_orbit = None  # drop the held orbit before the next is computed
+    pts, truncated = _compute_orbit(pmap, x0, n)
+    pts.flags.writeable = False
+    _last_orbit = (pmap, key, (pts, truncated))
+    return pts, truncated
+
+
+def _compute_orbit(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
     if isinstance(x0, Fraction) and pmap.integer_linear:
         return _exact_orbit_fraction(pmap, x0, n)
     if pmap.integer_linear:
@@ -243,12 +268,14 @@ def _vector_outer(b: BranchSpec):
     return lambda phi: b.foffset + b.sign * phi
 
 
-def _float_stepper(pmap: PiecewiseMap, ns: int):
-    """``advance(x, y)``: y = f(x) for a float state row, in place."""
+def _float_steppers(pmap: PiecewiseMap, ns: int):
+    """``(raw, advance)`` for a float state row, in place: ``raw(x, y)`` sets
+    y = f(x); ``advance(x, y)`` does so and then clamps y into (0, 1)."""
     table = _BranchTable.of(pmap)
     mask = np.empty(ns, dtype=bool)
 
-    def finish(y):
+    def advance(x, y):
+        raw(x, y)
         # exact endpoint hits absorb float orbits at repelling fixed points
         # (true orbits re-escape): clip to [0,1] and keep the samples
         # Lebesgue-generic by moving 0 and 1 inward.  No double lies between
@@ -261,7 +288,7 @@ def _float_stepper(pmap: PiecewiseMap, ns: int):
         top, *lower = table.coeffs[0][::-1]
         outer = table.outer[0]
 
-        def advance(x, y):
+        def raw(x, y):
             np.multiply(x, top, out=y)
             for k, c in enumerate(lower):
                 if k:
@@ -270,14 +297,13 @@ def _float_stepper(pmap: PiecewiseMap, ns: int):
                     np.add(y, c, out=y)
             if outer is not None:
                 y[:] = outer(y)
-            finish(y)
 
-        return advance
+        return raw, advance
 
     top, *lower = [np.ascontiguousarray(col) for col in table.coeffs[table.branch_row].T[::-1]]
     special = [(r, f) for r, f in enumerate(table.outer) if f is not None]
 
-    def advance(x, y):
+    def raw(x, y):
         idx = table.breaks.searchsorted(x, "left")
         np.multiply(top[idx], x, out=y)
         for k, col in enumerate(lower):
@@ -289,9 +315,8 @@ def _float_stepper(pmap: PiecewiseMap, ns: int):
             for r, f in special:
                 m = row == r
                 y[m] = f(y[m])
-        finish(y)
 
-    return advance
+    return raw, advance
 
 
 def _exact_stepper(pmap: PiecewiseMap, q: int):
@@ -323,7 +348,12 @@ def batch_cells(
     Integer-linear maps run exactly on p/ORBIT_PRIME, all others in double
     precision.  Iterates are produced ``chunk`` steps at a time into one
     preallocated (chunk, n_seeds) block; cell indices, counts and visit
-    masks are then updated once per block.
+    masks are then updated once per block.  A float block is stepped
+    without the endpoint clamp and stepped again with it only when one of
+    its iterates leaves (0, 1).
+
+    Raises ResolutionTooFine, before allocating, when the masks and counts
+    would not fit in physical memory.
     """
     if not 0 <= fine_bits <= MAX_FINE_BITS:
         raise ValueError(f"fine_bits must lie in [0, {MAX_FINE_BITS}], got {fine_bits}")
@@ -332,6 +362,14 @@ def batch_cells(
     x0s = np.asarray(x0s, dtype=float)
     ns = len(x0s)
     nf = 1 << fine_bits
+    need = ns * nf * (9 if want_counts else 1)  # bool masks, plus int64 counts
+    memory = _physical_memory()
+    if need > memory:
+        raise ResolutionTooFine(
+            f"{ns} seeds at 2^-{fine_bits} need {need / 2**30:.3g} GiB of cell "
+            f"{'masks and counts' if want_counts else 'masks'}, more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory"
+        )
     visited = np.zeros(ns * nf, dtype=bool)
     counts = np.zeros(ns * nf, dtype=np.int64) if want_counts else None
     offsets = np.arange(ns, dtype=np.int64) * nf
@@ -343,10 +381,10 @@ def batch_cells(
     states = np.empty((block + 1, ns), dtype=np.int64 if exact else float)
     if exact:
         states[0] = np.clip(np.round(x0s * q).astype(np.int64), 1, q - 1)
-        advance = _exact_stepper(pmap, q)
+        raw = _exact_stepper(pmap, q)
     else:
         states[0] = x0s
-        advance = _float_stepper(pmap, ns)
+        raw, advance = _float_steppers(pmap, ns)
     rows = list(states)
     cells = np.empty((block, ns), dtype=np.int64)
 
@@ -354,12 +392,18 @@ def batch_cells(
     while step < n:
         size = min(block, n - step)
         for j in range(size):
-            advance(rows[j], rows[j + 1])
+            raw(rows[j], rows[j + 1])
         iterates, ev = states[1 : size + 1], cells[:size]
         if exact:
             np.left_shift(iterates, fine_bits, out=ev)
             np.floor_divide(ev, q, out=ev)
         else:
+            # where every iterate lies in (0, 1) the clamp would change none
+            # of them; otherwise (an endpoint hit, an overshoot, or a NaN,
+            # which fails both comparisons) the block is stepped again with it
+            if not (iterates.max() < 1.0 and iterates.min() > 0.0):
+                for j in range(size):
+                    advance(rows[j], rows[j + 1])
             np.multiply(iterates, nf, out=ev, casting="unsafe")
             np.minimum(ev, nf - 1, out=ev)
         ev += offsets
@@ -380,6 +424,14 @@ def batch_cells(
         n,
         transient,
     )
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

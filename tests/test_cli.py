@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from intervaldyn.cli import main
@@ -123,16 +125,63 @@ def test_historic_command(tmp_path):
     assert (out / "envelope.svg").exists()
 
 
-def test_verify_command_logistic4(tmp_path):
-    spec = tmp_path / "l4.map"
-    spec.write_text("family = logistic\nlam = 4\n")
-    out = tmp_path / "v"
-    rc = main(
-        ["--map", str(spec), "--out", str(out), "--horizon", "100000", "verify"]
-    )
+# sha256 of the stats.csv and verify.json of `--map NAME.map --horizon 100000`
+# (the map path is part of the embedded config hash), recorded before the
+# statistics of one orbit began sharing its computation
+PINNED_OUTPUTS = {
+    ("stats", "l4"): "bf611ac5fd75a9d561c30abace9d53de7adf31ebac6d85f9c0477af3d2e5a12c",
+    ("stats", "doubling"): "0db208897c537ab67ac0441edb8b7ab5638d1c18b4c949accdfc9793f609d9fb",
+    ("verify", "l4"): "73eaa5c87c96497594b22b83850ae25b25922b28cdc1ce91b6579f42d496f6d6",
+    ("verify", "doubling"): "fabadaf7f67809514398d95f23af0b48e7822cc6abec33d1f1943d0aab6b5fe5",
+}
+SPECS = {"l4": "family = logistic\nlam = 4\n", "doubling": "family = doubling\n"}
+
+
+def _run_pinned(tmp_path, monkeypatch, command, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.map").write_text(SPECS[name])
+    rc = main(["--map", f"{name}.map", "--out", "o", "--horizon", "100000", command])
+    path = tmp_path / "o" / ("stats.csv" if command == "stats" else "verify.json")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_OUTPUTS[command, name]
+    return rc, path
+
+
+@pytest.mark.parametrize("name", ["l4", "doubling"])
+def test_stats_output_pinned(tmp_path, monkeypatch, name):
+    rc, _ = _run_pinned(tmp_path, monkeypatch, "stats", name)
     assert rc == 0
-    doc = json.loads((out / "verify.json").read_text())
+
+
+def test_verify_command_logistic4(tmp_path, monkeypatch):
+    rc, path = _run_pinned(tmp_path, monkeypatch, "verify", "l4")
+    assert rc == 0
+    doc = json.loads(path.read_text())
     assert doc["failures"] == []
+
+
+def test_verify_command_doubling(tmp_path, monkeypatch):
+    rc, path = _run_pinned(tmp_path, monkeypatch, "verify", "doubling")
+    assert rc == 0
+    assert json.loads(path.read_text())["failures"] == []
+
+
+def test_attractors_too_fine_for_memory(tmp_path, spec_logistic32, capsys, monkeypatch):
+    # 200 seeds at 2^-32 need 800 GiB of masks: refused before allocating
+    def refuse_large(alloc):
+        def guarded(shape, *args, **kwargs):
+            if np.prod(shape) > 1 << 24:
+                raise AssertionError("allocated the census masks")
+            return alloc(shape, *args, **kwargs)
+
+        return guarded
+
+    monkeypatch.setattr(np, "zeros", refuse_large(np.zeros))
+    monkeypatch.setattr(np, "empty", refuse_large(np.empty))
+    rc = main(["--map", spec_logistic32, "--out", str(tmp_path / "a"), "--eps", "1e-9", "attractors"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

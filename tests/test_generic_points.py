@@ -14,6 +14,7 @@ from intervaldyn.generic_points import (
     construct_max_average_point,
     verify_witness,
 )
+from intervaldyn.mapspec import parse_mapspec
 from intervaldyn.orbit_stats import detect_historic
 
 PHI_X = Observable.identity()
@@ -36,10 +37,13 @@ def doubling_witness(doubling_map):
 
 
 # sha256 of to_json() of the stages=2 witnesses: neither the forward pass's
-# precision schedule nor a faster exact arithmetic may move a bit of them
+# precision schedule nor a faster exact arithmetic may move a bit of them.
+# logistic4 was re-recorded when the quadratic pullback began taking its root
+# sign from the branch's monotonicity, which moves its stage intervals (not
+# its envelope): before, three of its pullback steps took the root across 1/2.
 WITNESS_DIGESTS = {
     "tent2": "781ec3c6750b8be0cfee00f31d3da516452660966570490e8d87a8f0421fc4a4",
-    "logistic4": "3d7a2577c302b30aa770f50fe26b763b39508db36aa3bfa898607c17de069f03",
+    "logistic4": "42699b4400dff38edbbb59b403b026d8c5d349af6158c7a82c5f6db2bc5b3fdb",
     "doubling": "ba062ce59bd0ea54dbd7a678be59a96558b12a4fb1dcbf117847684573857373",
 }
 
@@ -241,3 +245,27 @@ def test_inverse_inner_sound_on_non_dyadic_branch(p):
                 image.append(top)
             assert Fraction(ylo, one) <= min(image) and max(image) <= Fraction(yhi, one), (ylo, yhi)
         assert found >= len(targets) * 2 // 3
+
+
+# left branch 4x(1-x), right branch 4/3 (1-x^2): both take 1/2 to 1, but the
+# quadratic of one branch continued past 1/2 is not the other branch
+SPLIT_QUADRATIC = (
+    "branch = (0, 1/2) : 0, 4, -4 : increasing\n"
+    "branch = (1/2, 1) : 4/3, 0, -4/3 : decreasing\n"
+    "critical = 1/2\n"
+)
+
+
+@pytest.mark.parametrize("p", [128, 256])
+def test_inverse_inner_stays_on_its_branch(p):
+    # targets within 2^-80 of the critical value 1: the two roots of 4x(1-x)
+    # lie within 2^-40 of the critical point, one of them on the right branch
+    one = 1 << p
+    targets = [(one - (1 << k), one - (1 << (k - 2))) for k in range(p - 120, p - 79, 8)]
+    for branch in parse_mapspec(SPLIT_QUADRATIC).branches:
+        arith = _BranchArith(branch)
+        for ylo, yhi in targets:
+            xlo, xhi = (Fraction(v, one) for v in arith.inverse_inner(ylo, yhi, p))
+            assert branch.lo <= xlo <= xhi <= branch.hi, (branch, ylo, yhi)
+            image = [branch.coeffs[0] + branch.coeffs[1] * x + branch.coeffs[2] * x * x for x in (xlo, xhi)]
+            assert Fraction(ylo, one) <= min(image) and max(image) <= Fraction(yhi, one)

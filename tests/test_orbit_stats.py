@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from intervaldyn import Observable, catalog
 from intervaldyn.cells import cells_of_points
+from intervaldyn.errors import ResolutionTooFine
 from intervaldyn.mapspec import parse_mapspec
 from intervaldyn.orbit_stats import (
     batch_cells,
@@ -238,6 +240,31 @@ POWER_SPECS = [
 ]
 
 
+# seeds at the endpoints: logistic4 takes 0.5 to exactly 1.0, which the clamp
+# moves, and 0.25 onto its fixed point 0.75; bimodal takes its critical point
+# 0.8 to 1.0; 1e-300 starts below the least normal double
+CLAMP_SEEDS = np.concatenate(
+    [[0.5, 0.25, 0.75, 0.8, 1e-300], np.random.default_rng(2021).uniform(0.001, 0.999, 59)]
+)
+# (window_visited, counts, final) on CLAMP_SEEDS, n 5000, transient 100,
+# fine_bits 12, recorded when the clamp still ran after every step
+CLAMP_DIGESTS = {
+    "logistic4": ("d663a770742212b6", "c7ca5b3a2c03a4a2", "57cfee27aae99353"),
+    "bimodal": ("fd34ec02b47c96c5", "8a6e5ed86e8abedb", "8a284e05c90edf55"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAMP_DIGESTS))
+def test_batch_cells_clamped_blocks_pinned(name):
+    pmap = catalog.bimodal() if name == "bimodal" else catalog.logistic(4)
+    res = batch_cells(pmap, CLAMP_SEEDS, 5000, 100, fine_bits=12, want_counts=True)
+    digests = tuple(
+        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+        for a in (res.window_visited, res.counts, res.final)
+    )
+    assert digests == CLAMP_DIGESTS[name]
+
+
 @pytest.mark.parametrize("spec", POWER_SPECS, ids=["square-shared", "square-mirrored", "cube"])
 def test_batch_power_branches_match_scalar(spec):
     pmap = parse_mapspec(spec + "critical = 1/2\n")
@@ -268,3 +295,63 @@ def test_batch_rejects_empty_blocks(logistic4):
     # a block of no steps never advances the orbit
     with pytest.raises(ValueError, match="chunk"):
         batch_cells(logistic4, np.array([0.3]), 10, 5, chunk=0)
+
+
+@pytest.mark.parametrize("want_counts", [False, True])
+def test_batch_rejects_masks_beyond_memory(want_counts, logistic4, tent2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking the memory needed")
+
+    seeds = np.linspace(0.1, 0.9, 4096)  # 4096 seeds x 2^32 cells: 16 TiB of masks
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    for pmap in (logistic4, tent2):
+        with pytest.raises(ResolutionTooFine, match="physical memory"):
+            batch_cells(pmap, seeds, 10, 5, fine_bits=32, want_counts=want_counts)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_orbit_points_keeps_engines_apart(doubling_map, first):
+    # Fraction(1, 2) == 0.5, but the exact engine stops on the discontinuity
+    # while the /q engine moves 0.5 off it
+    x0s = [Fraction(1, 2), 0.5]
+    for x0 in x0s[first:] + x0s[:first]:
+        pts, truncated = orbit_points(doubling_map, x0, 10)
+        if isinstance(x0, Fraction):
+            assert truncated and pts.tolist() == [0.5]
+        else:
+            assert not truncated and len(pts) == 11 and pts[0] != 0.5
+
+
+def test_orbit_points_holds_one_read_only_orbit(logistic4):
+    pts, _ = orbit_points(logistic4, 0.2137, 100)
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[1] = 0.5
+    again, _ = orbit_points(logistic4, 0.2137, 100)
+    assert again is pts
+    # an equal map is another map object: its orbit is computed afresh
+    other, _ = orbit_points(catalog.logistic(4), 0.2137, 100)
+    assert other is not pts and np.array_equal(other, pts)
+    assert orbit_points(logistic4, 0.2137, 101)[0] is not pts
+
+
+def _plain(value):
+    if dataclasses.is_dataclass(value):
+        return {k: _plain(v) for k, v in vars(value).items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize(
+    "stat",
+    [
+        lambda m, x0: stats_csv(m, x0, PHI_X, [(0.0, 0.5)], 4096),
+        lambda m, x0: detect_historic(m, x0, PHI_X, 4096, 0.1),
+        lambda m, x0: omega_limit_estimate(m, x0, 2048, 4096, 2.0**-8),
+        lambda m, x0: statistical_omega_estimate(m, x0, 4096, 2.0**-8),
+    ],
+    ids=["stats_csv", "detect_historic", "omega", "statistical_omega"],
+)
+def test_statistics_repeat_on_the_held_orbit(stat, logistic4, doubling_map):
+    for pmap, x0 in ((logistic4, 0.3217), (doubling_map, 0.3217), (doubling_map, Fraction(1, 7))):
+        assert _plain(stat(pmap, x0)) == _plain(stat(pmap, x0))
