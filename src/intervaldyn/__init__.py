@@ -22,11 +22,6 @@ from .maps import (
     PLUS,
     PiecewiseMap,
     Termination,
-    check_nonflat,
-    evaluate,
-    iterate_orbit,
-    localize_map,
-    one_sided_limit,
 )
 from .mapspec import load_mapspec, parse_mapspec
 from .observables import Observable
@@ -54,12 +49,7 @@ __all__ = [
     "ResolutionTooFine",
     "ShadowingFailed",
     "Termination",
-    "check_nonflat",
-    "evaluate",
-    "iterate_orbit",
     "load_mapspec",
-    "localize_map",
-    "one_sided_limit",
     "parse_mapspec",
     "poly_branch",
     "power_branch",

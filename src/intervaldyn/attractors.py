@@ -21,7 +21,6 @@ import numpy as np
 
 from .cells import (
     cellset_from_bool,
-    cells_containing,
     coarsen_bool,
     hausdorff_cells,
     intervals_to_cells,
@@ -49,15 +48,6 @@ class AttractorEstimate:
     generators: list[tuple[float, str]] | None = None
     one_sided: bool = False
     diagnostics: dict = field(default_factory=dict)
-
-    def support_cells(self) -> np.ndarray:
-        if self.cells is not None:
-            return self.cells
-        if self.points is not None:
-            return np.unique(
-                [c for p in self.points for c in cells_containing(p, self.eps)]
-            ).astype(np.int64)
-        return intervals_to_cells(self.intervals or [], self.eps)
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "eps": self.eps}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .generic_points import construct_historic_point, verify_witness
 from .mapspec import load_mapspec
 from .observables import Observable
 from .orbit_stats import (
+    MAX_FINE_BITS,
     birkhoff_envelope,
     omega_limit_estimate,
     statistical_omega_estimate,
@@ -72,6 +74,19 @@ def _unit_float(text: str) -> float:
     if not 0.0 <= x <= 1.0:
         raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
     return x
+
+
+def _eps(text: str) -> float:
+    """A cell width in (0, 1] whose census grid, two refinements below it,
+    the batch engine supports."""
+    eps = float(text)
+    if not 0.0 < eps <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1]")
+    if round(-math.log2(eps)) + 2 > MAX_FINE_BITS:
+        raise argparse.ArgumentTypeError(
+            f"{text} is finer than the census supports (2^-{MAX_FINE_BITS - 2})"
+        )
+    return eps
 
 
 def _phi(spec: str) -> Observable:
@@ -283,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--map", required=True, help="map-spec file path")
     ap.add_argument("--out", default=os.environ.get("INTERVALDYN_OUT", "out"))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--eps", type=float, default=2.0**-12)
+    ap.add_argument("--eps", type=_eps, default=2.0**-12)
     ap.add_argument("--horizon", type=int, default=1_000_000)
     ap.add_argument("--format", choices=["csv", "json", "svg", "all"], default="all")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -54,6 +54,14 @@ class GridDynamics:
                 pos += k
         return indptr, indices
 
+    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Predecessors in CSR form: the cells with an edge into j are
+        ``rind[rptr[j] : rptr[j + 1]]``, in increasing order."""
+        indptr, indices = self.adjacency_csr()
+        rptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=self.ncells))])
+        sources = np.repeat(np.arange(self.ncells, dtype=np.int64), np.diff(indptr))
+        return rptr, sources[np.argsort(indices, kind="stable")]
+
 
 def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
     """Directed graph on eps-cells whose edges cover every true transition.
@@ -186,17 +194,7 @@ def component_of_critical(gd: GridDynamics, c: float, omega: np.ndarray | None =
     if omega is None:
         omega = nonwandering_estimate(gd)
     n = gd.ncells
-    indptr, indices = gd.adjacency_csr()
-    # reverse adjacency
-    counts = np.bincount(indices, minlength=n)
-    rptr = np.concatenate([[0], np.cumsum(counts)])
-    rind = np.empty(len(indices), dtype=np.int64)
-    fill = rptr[:-1].copy()
-    for i in range(n):
-        for k in range(indptr[i], indptr[i + 1]):
-            w = indices[k]
-            rind[fill[w]] = i
-            fill[w] += 1
+    rptr, rind = gd.reverse_csr()
     seeds = [cc for cc in cells_containing(float(c), gd.eps)]
     reach = np.zeros(n, dtype=bool)
     stack = list(seeds)

@@ -4,11 +4,18 @@ Values are mantissas m representing m / 2**p for a context precision p.
 Used wherever double precision is structurally inadequate: exact orbits of
 the contracted rotation, certified interval propagation for witness
 construction.  Only the operations those paths need are provided.
+
+A map's branch boundaries enter as cut mantissas (``cut_mantissas``), and a
+mantissa x lies in branch ``bisect_left(cuts, x)`` when each boundary
+belongs to the branch on its left, ``bisect_right(cuts, x)`` when it belongs
+to the one on its right.  Dyadic-affine maps (every branch b0 + s x with
+dyadic b0 and s) step through ``affine_table``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -29,7 +36,9 @@ def to_float(m: int, p: int) -> float:
 def to_float_up(m: int, p: int) -> float:
     """Float at or above m / 2^p."""
     if m.bit_length() <= 62:
-        return math.nextafter(m / (1 << p), math.inf) if (m / (1 << p)) * (1 << p) < m else m / (1 << p)
+        # compared as fractions: float(1 << p) overflows for p > 1023
+        f = m / (1 << p)
+        return math.nextafter(f, math.inf) if Fraction(f) < Fraction(m, 1 << p) else f
     shift = m.bit_length() - 53
     head = m >> shift
     if head << shift != m:
@@ -65,3 +74,37 @@ def poly_up(coeffs: tuple[int, ...], x: int, p: int) -> int:
     for c in reversed(coeffs[:-2]):
         acc = -((-(acc * x)) >> p) + c
     return acc
+
+
+def cut_mantissas(pmap, p: int) -> list[int]:
+    """The interior breakpoints of a map as mantissas at precision p (rounded down)."""
+    return [from_fraction(c, p) for c in pmap.breakpoints[1:-1]]
+
+
+def branch_of(cuts: list[int], lo: int, hi: int) -> int | None:
+    """The branch holding all of [lo, hi] (a cut belongs to its left branch),
+    or None when the interval straddles a cut."""
+    idx = bisect_left(cuts, lo)
+    return idx if idx == bisect_left(cuts, hi) else None
+
+
+def affine_table(pmap, p: int) -> tuple[list[tuple[int, Fraction]], list[int]]:
+    """A dyadic-affine map at precision p: (intercept mantissa, exact slope)
+    of each branch, and the cut mantissas."""
+    coeffs = [(from_fraction(b.coeffs[0], p), b.coeffs[1]) for b in pmap.branches]
+    return coeffs, cut_mantissas(pmap, p)
+
+
+def affine_point(x: int, branch: tuple[int, Fraction]) -> int:
+    """b0 + s x for one row (b0, s) of ``affine_table``, rounded down."""
+    b0, slope = branch
+    return (x * slope.numerator) // slope.denominator + b0
+
+
+def affine_interval(lo: int, hi: int, branch: tuple[int, Fraction]) -> tuple[int, int]:
+    """The images of lo rounded down and of hi rounded up under one row of
+    ``affine_table``, in increasing order."""
+    b0, slope = branch
+    ilo = (lo * slope.numerator) // slope.denominator + b0
+    ihi = -((-hi * slope.numerator) // slope.denominator) + b0
+    return (ilo, ihi) if ilo <= ihi else (ihi, ilo)

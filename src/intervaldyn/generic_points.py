@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -72,11 +73,6 @@ class _BranchArith:
             )
         self.coeffs = branch.coeffs
         self.mono = branch.monotonicity
-        self.lo = branch.lo
-        self.hi = branch.hi
-
-    def mantissas(self, p):
-        return tuple(dyadic.from_fraction(c, p) for c in self.coeffs)
 
     def val_down(self, x, p, cm):
         return dyadic.poly_down(cm, x, p) - len(cm)
@@ -134,6 +130,12 @@ class _BranchArith:
         slack = 2 + math.ceil(1 / (2 * abs(c[2])))  # inward, covers the root error
         xlo, xhi = min(roots) + slack, max(roots) - slack
         return (xlo, xhi) if xlo <= xhi else None
+
+
+def _tables(pmap, ariths, p):
+    """Coefficient mantissas of each branch and the cut mantissas, at precision p."""
+    cms = [tuple(dyadic.from_fraction(c, p) for c in a.coeffs) for a in ariths]
+    return cms, dyadic.cut_mantissas(pmap, p)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +230,7 @@ class _ChainBuilder:
         self.phi = phi
         self.p = CHAIN_BITS
         self.arith = [_BranchArith(b) for b in pmap.branches]
-        self.cm = [a.mantissas(self.p) for a in self.arith]
-        self.cuts = [dyadic.from_fraction(b, self.p) for b in pmap.breakpoints[1:-1]]
+        self.cm, self.cuts = _tables(pmap, self.arith, self.p)
         self.shadow_eps = shadow_eps
         self.branch_word: list[int] = []
         self.slope_log2: list[float] = []
@@ -244,11 +245,6 @@ class _ChainBuilder:
         self._steer = {}
 
     # -- primitives --------------------------------------------------------
-
-    def _branch_of(self, mlo, mhi):
-        idx_lo = sum(1 for t in self.cuts if mlo > t)
-        idx_hi = sum(1 for t in self.cuts if mhi > t)
-        return idx_lo if idx_lo == idx_hi else None
 
     def _ensure_precision(self):
         # shadow phases at repelling orbits thin the chain exponentially;
@@ -289,16 +285,12 @@ class _ChainBuilder:
             self.p *= 2
             self.lo <<= shift
             self.hi <<= shift
-            self.cm = [a.mantissas(self.p) for a in self.arith]
-            self.cuts = [dyadic.from_fraction(b, self.p) for b in self.pmap.breakpoints[1:-1]]
+            self.cm, self.cuts = _tables(self.pmap, self.arith, self.p)
 
     def plan_phase(self, length: int, slope_bits: float):
         """Reserve precision and the ball floor for a phase of known length."""
         self.floor_bits = int(slope_bits * length) + 64
         self._grow_to(self.floor_bits + 256)
-
-    def width(self) -> float:
-        return dyadic.to_float(self.hi - self.lo, self.p)
 
     # -- phases --------------------------------------------------------------
 
@@ -315,33 +307,33 @@ class _ChainBuilder:
             if self.lo <= ball[0] and self.hi >= ball[1]:
                 self.lo, self.hi = ball
                 return k
-            idx = self._branch_of(self.lo, self.hi)
+            idx = dyadic.branch_of(self.cuts, self.lo, self.hi)
             if idx is not None:
                 self._advance(idx)
                 continue
             # straddles a breakpoint: pick a side (steered by grid distance)
             best = None
-            for i, t in enumerate(self.cuts):
-                if self.lo <= t <= self.hi:
-                    for side_lo, side_hi in ((self.lo, t), (t, self.hi)):
-                        if side_hi - side_lo <= 0:
-                            continue
-                        m = dyadic.to_float((side_lo + side_hi) // 2, self.p)
-                        cell = min(int(m * len(dist)), len(dist) - 1)
-                        w = dyadic.to_float(side_hi - side_lo, self.p)
-                        score = (dist[cell], -w)
-                        if best is None or score < best[0]:
-                            best = (score, side_lo, side_hi)
+            inside = self.cuts[bisect_left(self.cuts, self.lo) : bisect_right(self.cuts, self.hi)]
+            for t in inside:
+                for side_lo, side_hi in ((self.lo, t), (t, self.hi)):
+                    if side_hi - side_lo <= 0:
+                        continue
+                    m = dyadic.to_float((side_lo + side_hi) // 2, self.p)
+                    cell = min(int(m * len(dist)), len(dist) - 1)
+                    w = dyadic.to_float(side_hi - side_lo, self.p)
+                    score = (dist[cell], -w)
+                    if best is None or score < best[0]:
+                        best = (score, side_lo, side_hi)
             if best is None:
                 raise ShadowingFailed("no viable side at a breakpoint straddle")
             _, self.lo, self.hi = best
-            idx = self._branch_of(self.lo, self.hi)
+            idx = dyadic.branch_of(self.cuts, self.lo, self.hi)
             if idx is None:
                 # nudge inward off the cut
                 w = self.hi - self.lo
                 self.lo += w >> 4
                 self.hi -= w >> 4
-                idx = self._branch_of(self.lo, self.hi)
+                idx = dyadic.branch_of(self.cuts, self.lo, self.hi)
                 if idx is None:
                     raise ShadowingFailed("interval pinned on a breakpoint")
             self._advance(idx)
@@ -356,15 +348,7 @@ class _ChainBuilder:
 
             gd = grid_graph(self.pmap, 2.0**-8)
             tcell = min(int(target * gd.ncells), gd.ncells - 1)
-            indptr, indices = gd.adjacency_csr()
-            counts = np.bincount(indices, minlength=gd.ncells)
-            rptr = np.concatenate([[0], np.cumsum(counts)])
-            rind = np.empty(len(indices), dtype=np.int64)
-            fill = rptr[:-1].copy()
-            for i in range(gd.ncells):
-                for k in range(indptr[i], indptr[i + 1]):
-                    rind[fill[indices[k]]] = i
-                    fill[indices[k]] += 1
+            rptr, rind = gd.reverse_csr()
             dist = np.full(gd.ncells, 1 << 30, dtype=np.int64)
             dist[tcell] = 0
             frontier = [tcell]
@@ -389,12 +373,15 @@ class _ChainBuilder:
         for j in range(length):
             self._ensure_precision()
             nxt = orbit[(j + 1) % q]
-            idx = self._branch_of(self.lo, self.hi)
+            idx = dyadic.branch_of(self.cuts, self.lo, self.hi)
             if idx is None:
                 raise ShadowingFailed(
                     f"shadow ball at {orbit[j % q]:.6g} straddles a breakpoint"
                 )
             self._advance(idx, constraint=self._ball(nxt, r))
+
+    def interval(self) -> tuple[Fraction, Fraction]:
+        return dyadic.to_fraction(self.lo, self.p), dyadic.to_fraction(self.hi, self.p)
 
     def trim_center(self):
         cut = (self.hi - self.lo) >> 2  # keep the centered half
@@ -457,12 +444,7 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
     n = len(bits) - 1
     p = bits[0]
     ariths = [_BranchArith(b) for b in pmap.branches]
-
-    def tables(p):
-        cms = [a.mantissas(p) for a in ariths]
-        return cms, [dyadic.from_fraction(b, p) for b in pmap.breakpoints[1:-1]]
-
-    cms, cuts = tables(p)
+    cms, cuts = _tables(pmap, ariths, p)
     lo = dyadic.from_fraction(j_lo, p)
     hi = dyadic.from_fraction(j_hi, p, round_up=True)
     phi_lo = np.empty(n)
@@ -473,17 +455,16 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
             lo >>= s
             hi = -((-hi) >> s)
             p -= s
-            cms, cuts = tables(p)
+            cms, cuts = _tables(pmap, ariths, p)
         flo = max(dyadic.to_float(lo, p), 0.0)
         fhi = min(dyadic.to_float_up(hi, p), 1.0)
         blo, bhi = phi.range_on(Fraction(flo), Fraction(max(fhi, flo)))
         phi_lo[j] = float(blo)
         phi_hi[j] = float(bhi)
-        idx_lo = sum(1 for t in cuts if lo > t)
-        idx_hi = sum(1 for t in cuts if hi > t)
-        if idx_lo != idx_hi:
+        idx = dyadic.branch_of(cuts, lo, hi)
+        if idx is None:
             raise EnvelopeViolation(f"certified interval straddles C at step {j}")
-        lo, hi = ariths[idx_lo].image_outer(lo, hi, p, cms[idx_lo])
+        lo, hi = ariths[idx].image_outer(lo, hi, p, cms[idx])
     return phi_lo, phi_hi
 
 
@@ -553,14 +534,10 @@ def construct_historic_point(
     if stages == 0:
         # no refinement: the envelope is the trivial observable range
         glo, ghi = phi.range_global()
-        seed_iv = (
-            dyadic.to_fraction(builder.lo, builder.p),
-            dyadic.to_fraction(builder.hi, builder.p),
-        )
         return NestedWitness(
             pmap.name,
             phi.name,
-            [StageRecord(0, 0, 0, seed_iv, float(ghi - glo), [])],
+            [StageRecord(0, 0, 0, builder.interval(), float(ghi - glo), [])],
             1,
             builder.p,
             np.asarray([1], dtype=np.int64),
@@ -596,19 +573,12 @@ def construct_historic_point(
         hi_len = run_phase(hi_pts, f"hi{k}")
         lo_len = run_phase(lo_pts, f"lo{k}") if not _single_phase else 0
         builder.trim_center()
-        snapshot = (
-            dyadic.to_fraction(builder.lo, builder.p),
-            dyadic.to_fraction(builder.hi, builder.p),
-        )
-        stage_meta.append((k, hi_len, lo_len, builder.time, t_start, snapshot))
+        stage_meta.append((k, hi_len, lo_len, builder.time, t_start, builder.interval()))
 
     total = builder.time
     word = builder.branch_word
     slopes = np.asarray(builder.slope_log2)
-    t_lo = dyadic.to_fraction(builder.lo, builder.p)
-    t_hi = dyadic.to_fraction(builder.hi, builder.p)
-
-    j_lo, j_hi, bits = _pullback(pmap, word, t_lo, t_hi, slopes)
+    j_lo, j_hi, bits = _pullback(pmap, word, *builder.interval(), slopes)
     p_full = bits[0]
     phi_lo, phi_hi = _certify_forward(pmap, phi, j_lo, j_hi, bits)
     avg_lo = _sum_scaled(phi_lo)
@@ -724,12 +694,11 @@ def replay_positions(pmap: PiecewiseMap, witness: NestedWitness, n: int | None =
     p = witness.precision_bits
     x = dyadic.from_fraction(witness.midpoint(), p)
     ariths = [_BranchArith(b) for b in pmap.branches]
-    cms = [a.mantissas(p) for a in ariths]
-    cuts = [dyadic.from_fraction(b, p) for b in pmap.breakpoints[1:-1]]
+    cms, cuts = _tables(pmap, ariths, p)
     pts = np.empty(horizon)
     for j in range(horizon):
         pts[j] = dyadic.to_float(x, p)
-        idx = sum(1 for t in cuts if x > t)
+        idx = bisect_left(cuts, x)
         lo = ariths[idx].val_down(x, p, cms[idx])
         x = lo + len(cms[idx])  # nearest-ish; error absorbed by tube slack
     return pts

@@ -72,7 +72,6 @@ class PiecewiseMap:
         )
         self.fbreaks: tuple[float, ...] = tuple(float(b) for b in self.breakpoints)
         self.fcritical: tuple[float, ...] = tuple(float(c) for c in self.critical)
-        self._crit_arr = np.asarray(self.fcritical)
         self._interior_breaks = [float(b) for b in self.breakpoints[1:-1]]
         self._validate()
         self.continuity: tuple[bool, ...] = tuple(
@@ -125,24 +124,20 @@ class PiecewiseMap:
     @property
     def integer_linear(self) -> bool:
         """All branches affine with integer coefficients (exact /q arithmetic)."""
-        return all(
-            len(b.coeffs) == 2
-            and b.exponent == 1
-            and b.offset == 0
-            and b.sign == 1
-            and all(c.denominator == 1 for c in b.coeffs)
-            for b in self.branches
-        )
+        return self._affine_with(lambda c: c.denominator == 1)
 
     @property
     def dyadic_affine(self) -> bool:
         """All branches affine with dyadic-rational coefficients."""
+        return self._affine_with(lambda c: c.denominator & (c.denominator - 1) == 0)
+
+    def _affine_with(self, coefficient_ok) -> bool:
         return all(
             len(b.coeffs) == 2
             and b.exponent == 1
             and b.offset == 0
             and b.sign == 1
-            and all(_is_dyadic(c) for c in b.coeffs)
+            and all(map(coefficient_ok, b.coeffs))
             for b in self.branches
         )
 
@@ -201,14 +196,6 @@ class PiecewiseMap:
         if side == PLUS:
             return self.branches[idx].value_exact(c)
         raise ValueError(f"side must be {MINUS!r} or {PLUS!r}")
-
-    def critical_values(self) -> list[tuple[float, str, float]]:
-        """All one-sided critical values [(c, side, f(c +/-))]."""
-        out = []
-        for c in self.fcritical:
-            out.append((c, MINUS, self.one_sided_limit(c, MINUS)))
-            out.append((c, PLUS, self.one_sided_limit(c, PLUS)))
-        return out
 
     # -- orbits ------------------------------------------------------------------
 
@@ -369,29 +356,3 @@ def _gap_branch(b: BranchSpec, c: Fraction, side: str, a: Fraction) -> BranchSpe
     lo, hi = (a, c) if side == MINUS else (c, a)
     return poly_branch(lo, hi, coeffs, b.monotonicity)
 
-
-def _is_dyadic(q: Fraction) -> bool:
-    d = q.denominator
-    return d & (d - 1) == 0
-
-
-# Operation-style aliases over the method API.
-
-def evaluate(pmap: PiecewiseMap, x: float) -> float:
-    return pmap.evaluate(x)
-
-
-def one_sided_limit(pmap: PiecewiseMap, c, side: str) -> float:
-    return pmap.one_sided_limit(c, side)
-
-
-def iterate_orbit(pmap, x0, n, continue_through_critical=None) -> OrbitResult:
-    return pmap.iterate_orbit(x0, n, continue_through_critical)
-
-
-def check_nonflat(pmap: PiecewiseMap) -> dict[float, tuple[float, float]]:
-    return pmap.check_nonflat()
-
-
-def localize_map(pmap: PiecewiseMap, keep_minus, keep_plus, gaps) -> PiecewiseMap:
-    return pmap.localize(keep_minus, keep_plus, gaps)

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -80,11 +82,17 @@ def _compute_orbit(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
     return orb.points, orb.termination is not Termination.HORIZON
 
 
-def _linear_tables(pmap: PiecewiseMap):
+def _linear_tables(pmap: PiecewiseMap, q: int):
+    """Slopes, intercepts and scaled thresholds of an integer-linear map.
+
+    tq[i] = floor(q t_i) for the interior breakpoints t_i, so an integer p
+    has p > tq[i] exactly when p/q lies right of t_i, and p/q lies in
+    branch ``bisect_left(tq, p)``.
+    """
     ms = [int(b.coeffs[1]) for b in pmap.branches]
     bs = [int(b.coeffs[0]) for b in pmap.branches]
-    thresholds = [(int(t.numerator), int(t.denominator)) for t in pmap.breakpoints[1:-1]]
-    return ms, bs, thresholds
+    tq = [t.numerator * q // t.denominator for t in pmap.breakpoints[1:-1]]
+    return ms, bs, tq
 
 
 def _exact_orbit_fraction(pmap: PiecewiseMap, x0: Fraction, n: int):
@@ -94,7 +102,7 @@ def _exact_orbit_fraction(pmap: PiecewiseMap, x0: Fraction, n: int):
     exactly: pass through continuity-flagged critical points, stop at
     discontinuities.
     """
-    ms, bs, thresholds = _linear_tables(pmap)
+    ms, bs, _ = _linear_tables(pmap, 1)
     crit = {c: i for i, c in enumerate(pmap.critical)}
     den = x0.denominator
     p = x0.numerator
@@ -103,8 +111,8 @@ def _exact_orbit_fraction(pmap: PiecewiseMap, x0: Fraction, n: int):
     for k in range(n):
         idx = 0
         hit = None
-        for bp, (tn, td) in zip(pmap.breakpoints[1:-1], thresholds):
-            cmp = p * td - tn * den
+        for bp in pmap.breakpoints[1:-1]:
+            cmp = p * bp.denominator - bp.numerator * den
             if cmp == 0:
                 hit = bp
                 break
@@ -124,41 +132,33 @@ def _exact_orbit_fraction(pmap: PiecewiseMap, x0: Fraction, n: int):
 
 def _exact_orbit_prime(pmap: PiecewiseMap, x0: float, n: int, q: int = ORBIT_PRIME):
     """Exact /q orbit of the nearest q-rational to a float seed."""
-    ms, bs, thresholds = _linear_tables(pmap)
-    tq = [tn * q // td for tn, td in thresholds]  # p > tq[i]  <=>  x > threshold_i
+    ms, bs, tq = _linear_tables(pmap, q)
     p = min(max(int(round(x0 * q)), 1), q - 1)
     pts = np.empty(n + 1)
     pts[0] = p / q
     for k in range(n):
-        idx = 0
-        for t in tq:
-            if p > t:
-                idx += 1
+        idx = bisect_left(tq, p)
         p = ms[idx] * p + bs[idx] * q
         pts[k + 1] = p / q
     return pts
+
+
+def _dyadic_iterates(pmap: PiecewiseMap, x0: Fraction, n: int, p_bits: int):
+    """Mantissas x_0..x_n of the truncated orbit of a dyadic-affine map."""
+    coeffs, cuts = dyadic.affine_table(pmap, p_bits)
+    x = dyadic.from_fraction(x0, p_bits)
+    yield x
+    for _ in range(n):
+        x = dyadic.affine_point(x, coeffs[bisect_left(cuts, x)])
+        yield x
 
 
 def _dyadic_orbit(
     pmap: PiecewiseMap, x0: Fraction, n: int, p_bits: int = DYADIC_ORBIT_BITS
 ) -> np.ndarray:
     """Truncated-mantissa orbit for dyadic-affine contracting maps."""
-    coeffs = [
-        (dyadic.from_fraction(b.coeffs[0], p_bits), b.coeffs[1]) for b in pmap.branches
-    ]
-    cuts = [dyadic.from_fraction(c, p_bits) for c in pmap.breakpoints[1:-1]]
-    x = dyadic.from_fraction(x0, p_bits)
-    pts = np.empty(n + 1)
-    pts[0] = dyadic.to_float(x, p_bits)
-    for k in range(n):
-        idx = 0
-        for t in cuts:
-            if x > t:
-                idx += 1
-        b0, slope = coeffs[idx]
-        x = (x * slope.numerator) // slope.denominator + b0
-        pts[k + 1] = dyadic.to_float(x, p_bits)
-    return pts
+    xs = _dyadic_iterates(pmap, x0, n, p_bits)
+    return np.fromiter((dyadic.to_float(x, p_bits) for x in xs), float, n + 1)
 
 
 def dyadic_orbit_cells(
@@ -170,24 +170,9 @@ def dyadic_orbit_cells(
     p_bits: int = DYADIC_ORBIT_BITS,
 ) -> np.ndarray:
     """Exact cell indices visited by a dyadic-affine orbit over [transient, n]."""
-    coeffs = [
-        (dyadic.from_fraction(b.coeffs[0], p_bits), b.coeffs[1]) for b in pmap.branches
-    ]
-    cuts = [dyadic.from_fraction(c, p_bits) for c in pmap.breakpoints[1:-1]]
-    x = dyadic.from_fraction(x0, p_bits)
     nc = 1 << eps_bits
-    cells = set()
-    for k in range(n + 1):
-        if k >= transient:
-            cells.add(min((x << eps_bits) >> p_bits, nc - 1))
-        if k == n:
-            break
-        idx = 0
-        for t in cuts:
-            if x > t:
-                idx += 1
-        b0, slope = coeffs[idx]
-        x = (x * slope.numerator) // slope.denominator + b0
+    xs = islice(_dyadic_iterates(pmap, x0, n, p_bits), transient, None)
+    cells = {min((x << eps_bits) >> p_bits, nc - 1) for x in xs}
     return np.asarray(sorted(cells), dtype=np.int64)
 
 
@@ -321,8 +306,8 @@ def _float_steppers(pmap: PiecewiseMap, ns: int):
 
 def _exact_stepper(pmap: PiecewiseMap, q: int):
     """``advance(p, p')``: p' = q f(p/q) for an integer-linear map, in place."""
-    ms, bs, thresholds = _linear_tables(pmap)
-    tq = np.asarray([tn * q // td for tn, td in thresholds], dtype=np.int64)
+    ms, bs, tq = _linear_tables(pmap, q)
+    tq = np.asarray(tq, dtype=np.int64)
     ms_a = np.asarray(ms, dtype=np.int64)
     bs_a = np.asarray(bs, dtype=np.int64) * q
 

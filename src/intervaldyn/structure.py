@@ -10,7 +10,9 @@ keeps f^q decompositions certified without naive root searching.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -430,30 +432,15 @@ def _find_homtervals_dyadic(pmap: PiecewiseMap, n: int, min_len: float):
     are exact shifts.
     """
     p = DYADIC_ORBIT_BITS
-    one = 1 << p
-    from fractions import Fraction
-
     min_m = max(1, dyadic.from_fraction(Fraction(min_len), p))
-    cuts = [dyadic.from_fraction(c, p) for c in pmap.breakpoints[1:-1]]
+    coeffs, cuts = dyadic.affine_table(pmap, p)
     crit = {dyadic.from_fraction(c, p) for c in pmap.critical}
-    coeffs = []
-    for br in pmap.branches:
-        b0 = dyadic.from_fraction(br.coeffs[0], p)
-        slope = br.coeffs[1]
-        coeffs.append((b0, slope.numerator, slope.denominator))
     # pieces: (dom_lo, dom_hi, img_lo, img_hi, inv_num, inv_den)
-    # where dom = dom_lo + (img - img_lo) * inv_num / inv_den, all mantissas
-    pieces = []
-    edges = [0] + cuts + [one]
-    for lo, hi in zip(edges, edges[1:]):
-        if hi - lo < min_m:
-            continue
-        idx = sum(1 for t in cuts if lo >= t)
-        b0, sn, sd = coeffs[idx]
-        ilo = (lo * sn) // sd + b0
-        ihi = (hi * sn) // sd + b0
-        pieces.append((lo, hi, ilo, ihi, sd, sn))
-    for _ in range(n):
+    # where dom = dom_lo + (img - img_lo) * inv_num / inv_den, all mantissas;
+    # the branch domains are the pieces of the 0-step composition
+    edges = [0] + cuts + [1 << p]
+    pieces = [(lo, hi, lo, hi, 1, 1) for lo, hi in zip(edges, edges[1:])]
+    for _ in range(n + 1):
         nxt = []
         for dlo, dhi, ilo, ihi, inv_n, inv_d in pieces:
             if dhi - dlo < min_m:
@@ -470,11 +457,13 @@ def _find_homtervals_dyadic(pmap: PiecewiseMap, n: int, min_len: float):
                     if b - a >= min_m:
                         windows.append((a, b, wlo, whi))
             for a, b, wlo, whi in windows:
-                idx = sum(1 for t in cuts if wlo >= t)
-                b0, sn, sd = coeffs[idx]
-                nlo = (wlo * sn) // sd + b0
-                nhi = (whi * sn) // sd + b0
-                nxt.append((a, b, nlo, nhi, inv_n * sd, inv_d * sn))
+                # a window starting on a cut lies in the branch right of it
+                br = coeffs[bisect_right(cuts, wlo)]
+                slope = br[1]
+                nxt.append(
+                    (a, b, dyadic.affine_point(wlo, br), dyadic.affine_point(whi, br),
+                     inv_n * slope.denominator, inv_d * slope.numerator)
+                )
         pieces = nxt
         if not pieces:
             break
@@ -489,32 +478,11 @@ def _find_homtervals_dyadic(pmap: PiecewiseMap, n: int, min_len: float):
 
 
 def _interval_orbit(pmap: PiecewiseMap, lo: float, hi: float, n: int):
-    """Forward interval images J, f(J), ..., f^n(J); None when J straddles C.
-
-    Exact dyadic propagation for dyadic-affine maps, float endpoints with
-    outward margin otherwise.
+    """Forward interval images J, f(J), ..., f^n(J) of a map that is not
+    dyadic-affine, as floats with outward margin, and False when an image
+    meets C.
     """
     out = [(lo, hi)]
-    if pmap.dyadic_affine:
-        p = DYADIC_ORBIT_BITS
-        coeffs = [
-            (dyadic.from_fraction(br.coeffs[0], p), br.coeffs[1]) for br in pmap.branches
-        ]
-        cuts = [dyadic.from_fraction(c, p) for c in pmap.breakpoints[1:-1]]
-        mlo = dyadic.from_fraction(_to_frac(lo), p)
-        mhi = dyadic.from_fraction(_to_frac(hi), p, round_up=True)
-        for _ in range(n):
-            idx_lo = sum(1 for t in cuts if mlo > t)
-            idx_hi = sum(1 for t in cuts if mhi > t)
-            if idx_lo != idx_hi:
-                return out, False
-            b0, slope = coeffs[idx_lo]
-            mlo = (mlo * slope.numerator) // slope.denominator + b0
-            mhi = -((-mhi * slope.numerator) // slope.denominator) + b0
-            if mlo > mhi:
-                mlo, mhi = mhi, mlo
-            out.append((dyadic.to_float(mlo, p), dyadic.to_float(mhi, p)))
-        return out, True
     margin = 1e-13
     for _ in range(n):
         if any(lo - 1e-14 <= c <= hi + 1e-14 for c in pmap.fcritical):
@@ -524,12 +492,6 @@ def _interval_orbit(pmap: PiecewiseMap, lo: float, hi: float, n: int):
         hi = max(p[1] for p in pieces)
         out.append((lo, hi))
     return out, True
-
-
-def _to_frac(x: float):
-    from fractions import Fraction
-
-    return Fraction(x)
 
 
 def classify_homterval(
@@ -550,63 +512,40 @@ def classify_homterval(
     cycle = _convergent_cycle(pmap, mid, horizon, periodic_attractors)
     if cycle is not None:
         return HomtervalVerdict((lo, hi), "basin", horizon, f"converges to {cycle}")
-    if pmap.dyadic_affine:
-        ok, disjoint, steps = _dyadic_disjoint_images(pmap, lo, hi, horizon)
-    else:
-        images, ok = _interval_orbit(pmap, lo, hi, horizon)
-        steps = len(images) - 1
-        disjoint = True
-        if ok:
-            ordered = sorted(images[1:])  # f^j(J), 1 <= j < k
-            for (alo, ahi), (blo, bhi) in zip(ordered, ordered[1:]):
-                if ahi >= blo:
-                    disjoint = False
-                    break
+    orbit = _dyadic_interval_orbit if pmap.dyadic_affine else _interval_orbit
+    images, ok = orbit(pmap, lo, hi, horizon)
     if not ok:
         return HomtervalVerdict(
-            (lo, hi), "undecided", horizon, f"image hits C after {steps} steps"
+            (lo, hi), "undecided", horizon, f"image hits C after {len(images) - 1} steps"
         )
-    if not disjoint:
+    ordered = sorted(images[1:])  # f^j(J), 1 <= j <= horizon
+    if any(ahi >= blo for (_, ahi), (blo, _) in zip(ordered, ordered[1:])):
         return HomtervalVerdict((lo, hi), "undecided", horizon, "image intervals overlap")
     return HomtervalVerdict((lo, hi), "wandering", horizon, "pairwise disjoint images")
 
 
-def _dyadic_disjoint_images(pmap: PiecewiseMap, lo: float, hi: float, horizon: int):
-    """Exact C-avoidance and pairwise disjointness of interval images.
+def _dyadic_interval_orbit(pmap: PiecewiseMap, lo: float, hi: float, n: int):
+    """``_interval_orbit`` of a dyadic-affine map, as exact mantissa intervals.
 
     Image separations shrink exponentially (they accumulate on the Cantor
     attractor), so the comparisons must stay on full mantissas; the float
     projections of genuinely disjoint images coincide.
     """
-    from fractions import Fraction
-
     p = DYADIC_ORBIT_BITS
-    coeffs = [
-        (dyadic.from_fraction(b.coeffs[0], p), b.coeffs[1]) for b in pmap.branches
-    ]
-    cuts = [dyadic.from_fraction(c, p) for c in pmap.breakpoints[1:-1]]
+    coeffs, cuts = dyadic.affine_table(pmap, p)
     crit = [dyadic.from_fraction(c, p) for c in pmap.critical]
     mlo = dyadic.from_fraction(Fraction(lo), p)
     mhi = dyadic.from_fraction(Fraction(hi), p, round_up=True)
-    images: list[tuple[int, int]] = []
-    for j in range(horizon):
+    out = [(mlo, mhi)]
+    for _ in range(n):
         if any(mlo <= t <= mhi for t in crit):
-            return False, False, j
-        idx_lo = sum(1 for t in cuts if mlo > t)
-        idx_hi = sum(1 for t in cuts if mhi > t)
-        if idx_lo != idx_hi:
-            return False, False, j
-        b0, slope = coeffs[idx_lo]
-        mlo = (mlo * slope.numerator) // slope.denominator + b0
-        mhi = -((-mhi * slope.numerator) // slope.denominator) + b0
-        if mlo > mhi:
-            mlo, mhi = mhi, mlo
-        images.append((mlo, mhi))
-    images.sort()
-    for (alo, ahi), (blo, bhi) in zip(images, images[1:]):
-        if ahi >= blo:
-            return True, False, horizon
-    return True, True, horizon
+            return out, False
+        idx = dyadic.branch_of(cuts, mlo, mhi)
+        if idx is None:
+            return out, False
+        mlo, mhi = dyadic.affine_interval(mlo, mhi, coeffs[idx])
+        out.append((mlo, mhi))
+    return out, True
 
 
 def _convergent_cycle(pmap, x0, horizon, periodic_attractors, tol=1e-7):
@@ -688,8 +627,6 @@ def wandering_attractor_check(
     eps_bits = max(1, round(-math.log2(eps)))
     transient = n // 2
     if pmap.dyadic_affine:
-        from fractions import Fraction
-
         omega = dyadic_orbit_cells(pmap, Fraction(mid), n, eps_bits, transient)
         gen_cells = {
             (c, side): dyadic_orbit_cells(
@@ -981,8 +918,6 @@ def birkhoff_max_oracle(pmap: PiecewiseMap, attractor, phi: Observable, Q: int =
 
 def _seed_for(pmap: PiecewiseMap, c: float, side: str):
     """Exact seed for the critical-value orbit when the mapping supports it."""
-    from fractions import Fraction
-
     v = pmap.one_sided_limit_exact(Fraction(c) if not hasattr(c, "denominator") else c, side)
     if pmap.integer_linear or pmap.dyadic_affine:
         return v

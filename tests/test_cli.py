@@ -222,3 +222,15 @@ def test_x0_outside_unit_interval_exits_2(tmp_path, spec_logistic32, command, x0
         main(["--map", spec_logistic32, "--out", str(tmp_path / "o"), command, "--x0", x0])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("eps", ["1e-12", "0", "-1", "nan", "inf", "2"])
+def test_bad_eps_exits_2(tmp_path, spec_logistic32, capsys, eps):
+    # 1e-12 would need a 2^-42 census grid; the others are no cell width
+    with pytest.raises(SystemExit) as exc:
+        main(["--map", spec_logistic32, "--out", str(tmp_path / "o"), "--eps", eps, "attractors"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "error: argument --eps" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

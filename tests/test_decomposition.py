@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,31 @@ def test_component_full_logistic4(logistic4):
     omega = nonwandering_estimate(gd)
     u = component_of_critical(gd, 0.5, omega)
     assert np.array_equal(u, omega)
+
+
+@pytest.mark.parametrize(
+    "name, digest", [("bimodal", "dbc67b4abc0b2246"), ("logistic4", "2f88e9ce00d238e7")]
+)
+def test_components_pinned(name, digest):
+    # sha256 prefix of U(c) for each c at 2^-10, recorded before the reverse
+    # adjacency was built in one place
+    pmap = catalog.bimodal() if name == "bimodal" else catalog.logistic(4)
+    gd = grid_graph(pmap, 2.0**-10)
+    h = hashlib.sha256()
+    for c in pmap.fcritical:
+        h.update(component_of_critical(gd, c).tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
+def test_reverse_csr_matches_edge_loop(bimodal_map):
+    gd = grid_graph(bimodal_map, 2.0**-8)
+    indptr, indices = gd.adjacency_csr()
+    preds = [[] for _ in range(gd.ncells)]
+    for i in range(gd.ncells):
+        for j in indices[indptr[i] : indptr[i + 1]]:
+            preds[j].append(i)
+    rptr, rind = gd.reverse_csr()
+    assert [rind[rptr[j] : rptr[j + 1]].tolist() for j in range(gd.ncells)] == preds
 
 
 def test_components_bimodal_disjoint(bimodal_map):

@@ -8,10 +8,13 @@ import pytest
 from intervaldyn import Observable, catalog, generic_points
 from intervaldyn.errors import EnvelopeViolation, NotClassified
 from intervaldyn.generic_points import (
+    NestedWitness,
+    StageRecord,
     _BranchArith,
     _certify_forward,
     construct_historic_point,
     construct_max_average_point,
+    replay_positions,
     verify_witness,
 )
 from intervaldyn.mapspec import parse_mapspec
@@ -213,6 +216,24 @@ def test_starved_schedule_raises(monkeypatch, tent2):
     starved = [bits[0]] + [96] * (len(bits) - 1)
     with pytest.raises(EnvelopeViolation, match="straddles C"):
         _certify_forward(pmap, phi, j_lo, j_hi, starved)
+
+
+def test_certify_puts_a_cut_in_its_left_branch(doubling_map):
+    # [1/4, 1/2] ends on the cut and lies in the left branch; [1/2, 3/4]
+    # starts on it and straddles C
+    lo, hi = _certify_forward(doubling_map, PHI_X, Fraction(1, 4), Fraction(1, 2), [64, 64])
+    assert (lo[0], hi[0]) == (0.25, 0.5)
+    with pytest.raises(EnvelopeViolation, match="straddles C at step 0"):
+        _certify_forward(doubling_map, PHI_X, Fraction(1, 2), Fraction(3, 4), [64, 64])
+
+
+def test_replay_puts_a_cut_in_its_left_branch(doubling_map):
+    # a midpoint on the cut 1/2 maps by 2x to 1, not by 2x - 1 to 0
+    half = Fraction(1, 2)
+    stage = StageRecord(1, 1, 1, (half, half), 0.0, [])
+    none = np.empty(0)
+    witness = NestedWitness("doubling", "x", [stage], 2, 64, none, none, none, [], 1.0, 0.0)
+    assert replay_positions(doubling_map, witness).tolist() == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("p", [64, 256])

@@ -14,6 +14,7 @@ from intervaldyn.orbit_stats import (
     batch_cells,
     birkhoff_envelope,
     detect_historic,
+    dyadic_orbit_cells,
     empirical_measure,
     omega_limit_estimate,
     orbit_points,
@@ -355,3 +356,74 @@ def _plain(value):
 def test_statistics_repeat_on_the_held_orbit(stat, logistic4, doubling_map):
     for pmap, x0 in ((logistic4, 0.3217), (doubling_map, 0.3217), (doubling_map, Fraction(1, 7))):
         assert _plain(stat(pmap, x0)) == _plain(stat(pmap, x0))
+
+
+def _digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of (points, truncated), recorded before the exact engines
+# shared one table and one step each: n = 5000 on the /q engine (float seeds)
+# and the Fraction engine, where 1/4 lands exactly on 1/2 and 1/9 on 1/3;
+# n = 2000 on the lorenz dyadic engine
+EXACT_ORBIT_DIGESTS = {
+    ("tent2", "0.2137"): "35ab918bddb2aa14",
+    ("tent2", "0.5"): "a63d5bafbdc63638",
+    ("tent2", "1/4"): "f7089339cbae813f",
+    ("tent2", "5/1048576"): "226ed9f8e8c20e96",
+    ("tent2", "1/9"): "d6a0e8b0dd4d2bd5",
+    ("tent2", "2/7"): "35a9e60147c05099",
+    ("tent2", "123456/1000003"): "e0a71aa469a131a9",
+    ("doubling", "0.2137"): "92a1d816181c09d4",
+    ("doubling", "0.5"): "f822b348cfe35c43",
+    ("doubling", "1/4"): "900aef996b0edc60",
+    ("doubling", "5/1048576"): "aadf2788db65c6ec",
+    ("doubling", "1/9"): "4dfeec5990ecfe2d",
+    ("doubling", "2/7"): "99d2ada8aabb1e39",
+    ("doubling", "123456/1000003"): "fd45d319ba02efa5",
+    ("zigzag3", "0.2137"): "9a85c5ff004c2248",
+    ("zigzag3", "0.5"): "d80bb71acb572b02",
+    ("zigzag3", "1/4"): "d76163166cbb53f0",
+    ("zigzag3", "5/1048576"): "febbb4bcbe44dd05",
+    ("zigzag3", "1/9"): "2d737c3d00758698",
+    ("zigzag3", "2/7"): "9d1809a27cc2bf61",
+    ("zigzag3", "123456/1000003"): "66d934f56f913925",
+    ("lorenz", "0.2137"): "12cbd687e448fa9a",
+    ("lorenz", "1/3"): "0696dc9034c5483e",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(EXACT_ORBIT_DIGESTS))
+def test_exact_orbits_pinned(name, seed):
+    pmap = {"tent2": catalog.tent(2), "doubling": catalog.doubling(),
+            "zigzag3": catalog.zigzag3(), "lorenz": catalog.lorenz()}[name]
+    x0 = Fraction(seed) if "/" in seed else float(seed)
+    pts, truncated = orbit_points(pmap, x0, 2000 if name == "lorenz" else 5000)
+    assert _digest(pts, truncated) == EXACT_ORBIT_DIGESTS[name, seed]
+
+
+def test_dyadic_orbit_cells_pinned(lorenz_map):
+    # recorded with the orbit points above: the gap's midpoint at 2^-16 over
+    # the whole orbit, and the critical value f(c+) at 2^-12
+    g_lo, g_hi = lorenz_map.evaluate(1.0), lorenz_map.evaluate(0.0)
+    mid = dyadic_orbit_cells(lorenz_map, Fraction(0.5 * (g_lo + g_hi)), 3000, 16)
+    assert _digest(mid) == "60be62292372c4d3"
+    crit = lorenz_map.one_sided_limit_exact(lorenz_map.critical[0], "plus")
+    assert _digest(dyadic_orbit_cells(lorenz_map, crit, 3000, 12)) == "654130609fab469d"
+
+
+def test_exact_orbits_put_a_cut_in_its_left_branch(lorenz_map, doubling_map):
+    # a mantissa equal to a cut is not right of it: lorenz's left branch
+    # sends c (in cell 0 at 2^-1) to 1 (cell 1), its right branch to 0
+    cells = dyadic_orbit_cells(lorenz_map, lorenz_map.critical[0], 1, 1)
+    assert cells.tolist() == [0, 1]
+    # on the /q engine p = floor(q/2) lies left of 1/2 (q is odd)
+    q = catalog.ORBIT_PRIME
+    pts, _ = orbit_points(doubling_map, (q // 2) / q, 1)
+    assert pts[1] == (q - 1) / q

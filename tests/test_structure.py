@@ -189,6 +189,44 @@ def test_lorenz_gap_is_wandering(lorenz_map):
     assert find_homtervals(catalog.tent(2), 9, 0.01) == []
 
 
+def test_lorenz_homtervals_and_verdicts_pinned(lorenz_map):
+    # recorded before the dyadic-affine table and steps were shared: a
+    # sha256 prefix of the candidates' repr, and the verdicts of the gap and
+    # of an interval whose sixth image meets C
+    cands = find_homtervals(lorenz_map, 10_000, 0.05)
+    assert hashlib.sha256(repr(cands).encode()).hexdigest()[:16] == "d3b97cf3a5e8890d"
+    g_lo, g_hi = lorenz_map.evaluate(1.0), lorenz_map.evaluate(0.0)
+    gap = [c for c in cands if abs(c[0] - g_lo) < 1e-6 and abs(c[1] - g_hi) < 1e-6][0]
+    verdict = classify_homterval(lorenz_map, gap, 10_000)
+    assert (verdict.verdict, verdict.detail) == ("wandering", "pairwise disjoint images")
+    verdict = classify_homterval(lorenz_map, (0.6, 0.87), 1000)
+    assert (verdict.verdict, verdict.detail) == ("undecided", "image hits C after 6 steps")
+
+
+def test_homtervals_put_a_cut_in_its_right_branch():
+    # x + 1/2 on [0, 1/2], 2x - 1 on [1/2, 1]: a piece or image starting on
+    # the cut 1/2 maps by the right branch, so its image [0, 1] splits at C
+    h = Fraction(1, 2)
+    pmap = PiecewiseMap(
+        [poly_branch(0, h, (h, 1), "increasing"), poly_branch(h, 1, (-1, 2), "increasing")],
+        critical=[h],
+    )
+    assert find_homtervals(pmap, 2, 1 / 64) == [
+        (0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 1.0)
+    ]
+
+
+def test_homtervals_of_a_contraction_start_at_zero():
+    # x/2 split at a critical 1/2: the piece [0, 1/2] keeps its endpoint 0,
+    # whose float conversion overflowed at the mantissa precision
+    h = Fraction(1, 2)
+    pmap = PiecewiseMap(
+        [poly_branch(0, h, (0, h), "increasing"), poly_branch(h, 1, (0, h), "increasing")],
+        critical=[h],
+    )
+    assert find_homtervals(pmap, 3, 0.01) == [(0.0, 0.5), (0.5, 1.0)]
+
+
 def test_wandering_attractor_check_lorenz(lorenz_map):
     g_lo = lorenz_map.evaluate(1.0)
     g_hi = lorenz_map.evaluate(0.0)
