@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import (
-    cellset_from_bool,
-    coarsen_bool,
-    hausdorff_cells,
-    intervals_to_cells,
-    runs,
-)
+from .cells import cellset_from_bool, coarsen_bool, hausdorff_cells, runs
 from .maps import MINUS, PLUS, PiecewiseMap
 from .orbit_stats import batch_cells, orbit_points
 from .structure import PeriodicOrbit, periodic_orbits
@@ -34,6 +28,12 @@ from .structure import PeriodicOrbit, periodic_orbits
 SLOPE_INTERVAL = 0.95
 SLOPE_CANTOR = 0.80
 MAX_PERIOD_CELLS = 64
+#: a support of more runs than this is not reported as a cycle of intervals
+MAX_INTERVAL_COUNT = 16
+#: distance from a candidate periodic point at which its probes start, and
+#: the number of returns they are followed for
+PROBE_RADIUS = 1e-4
+PROBE_HORIZON = 64
 
 
 @dataclass
@@ -80,10 +80,7 @@ class SignedCriticalSides:
 
 
 def detect_periodic_like(
-    pmap: PiecewiseMap,
-    max_period: int = 8,
-    r_probe: float = 1e-4,
-    contraction_horizon: int = 64,
+    pmap: PiecewiseMap, max_period: int = 8
 ) -> tuple[list[AttractorEstimate], list[PeriodicOrbit]]:
     """Certified periodic-like attractors plus probe-inconclusive candidates.
 
@@ -97,7 +94,7 @@ def detect_periodic_like(
     for orb in table.orbits:
         if orb.multiplier > 1.0 + 1e-9 and not orb.hits_critical:
             continue  # interior repelling orbit cannot be an attractor
-        res = _certify_probe(pmap, orb, r_probe, contraction_horizon)
+        res = _certify_probe(pmap, orb)
         if res == "attracts":
             certified.append(
                 AttractorEstimate(
@@ -117,19 +114,19 @@ def detect_periodic_like(
     return certified, inconclusive
 
 
-def _certify_probe(pmap, orb: PeriodicOrbit, r: float, horizon: int) -> str:
+def _certify_probe(pmap, orb: PeriodicOrbit) -> str:
     p = orb.points[0]
     q = orb.period
     verdicts = []
     for sgn in (-1.0, 1.0):
-        x = p + sgn * r
+        x = p + sgn * PROBE_RADIUS
         if not 0.0 <= x <= 1.0:
             verdicts.append("escapes")
             continue
         d0 = abs(x - p)
         converged = escaped = False
         d_prev = d0
-        for _ in range(horizon):
+        for _ in range(PROBE_HORIZON):
             try:
                 for _ in range(q):
                     x = pmap.evaluate(x)
@@ -203,31 +200,15 @@ def critical_orbit_closure(
 
 
 def classify_attractor(
-    pmap: PiecewiseMap,
-    support,
-    eps: float,
-    fine_mask: np.ndarray | None = None,
-    fine_bits: int | None = None,
-    max_interval_count: int = 16,
+    pmap: PiecewiseMap, eps: float, fine_mask: np.ndarray, fine_bits: int
 ) -> AttractorEstimate:
     """Trichotomy verdict for a support estimate.
 
-    ``support`` is a cell array at resolution eps (or an interval list);
-    ``fine_mask`` at 2^-fine_bits (two refinements below eps) powers the
+    ``fine_mask`` marks the support's cells at 2^-fine_bits, at least two
+    refinements below eps; its coarsenings to eps, eps/2 and eps/4 give the
     box-count slope.  Unresolved is a valid verdict.
     """
     eps_bits = round(-math.log2(eps))
-    if fine_mask is None:
-        if isinstance(support, list):
-            cells = intervals_to_cells(support, 2.0 ** -(eps_bits + 2))
-        else:
-            cells = np.asarray(support, dtype=np.int64)
-            cells = np.unique(
-                (cells[:, None] * 4 + np.arange(4)[None, :]).ravel()
-            )  # conservative fine blow-up
-        fine_bits = eps_bits + 2
-        fine_mask = np.zeros(1 << fine_bits, dtype=bool)
-        fine_mask[cells] = True
     if fine_bits < eps_bits + 2:
         raise ValueError("fine mask must be at least two refinements below eps")
 
@@ -254,7 +235,7 @@ def classify_attractor(
         intervals = [(s * eps, (e + 1) * eps) for s, e in runs(cells, gap=1)]
         runs2 = runs(cellset_from_bool(mask2), gap=1)
         stable = abs(len(intervals) - len(runs2)) <= 1
-        if len(intervals) <= max_interval_count and stable:
+        if len(intervals) <= MAX_INTERVAL_COUNT and stable:
             if _union_invariant(pmap, intervals, eps):
                 return AttractorEstimate(
                     "cycle", eps, intervals=intervals, cells=cells,
@@ -391,7 +372,6 @@ def basin_census(
     seed: int,
     horizon: int,
     eps: float,
-    fine_bits: int | None = None,
 ) -> CensusReport:
     """Sampled attractor census with Hausdorff clustering and bound checks.
 
@@ -403,8 +383,7 @@ def basin_census(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     eps_bits = round(-math.log2(eps))
-    if fine_bits is None:
-        fine_bits = eps_bits + 2
+    fine_bits = eps_bits + 2
     rng = np.random.default_rng(seed)
     x0s = rng.uniform(0.001, 0.999, n_samples)
     batch = batch_cells(pmap, x0s, horizon, horizon // 2, fine_bits=fine_bits)
@@ -413,10 +392,9 @@ def basin_census(
     masks: list[np.ndarray] = []
     counts: list[int] = []
     ambiguous: list[bool] = []
-    factor = 1 << (fine_bits - eps_bits)
     for i in range(n_samples):
         mask = batch.window_visited[i]
-        coarse = cellset_from_bool(coarsen_bool(mask, factor))
+        coarse = cellset_from_bool(coarsen_bool(mask, 4))  # 2^-fine_bits to eps
         placed = False
         for k, rep in enumerate(reps):
             d = hausdorff_cells(coarse, rep)
@@ -436,7 +414,7 @@ def basin_census(
     clusters = []
     unresolved = 0
     for rep, mask, cnt, amb in zip(reps, masks, counts, ambiguous):
-        est = classify_attractor(pmap, None, eps, fine_mask=mask, fine_bits=fine_bits)
+        est = classify_attractor(pmap, eps, mask, fine_bits)
         if est.kind == "unresolved":
             unresolved += 1
         clusters.append(CensusCluster(est, cnt, cnt / n_samples, amb))

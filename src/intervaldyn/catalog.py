@@ -9,11 +9,12 @@ Two computed constants live here as well:
 * ``feigenbaum_lambda()`` locates the period-doubling accumulation parameter
   of the logistic family by bisecting the superstable 2^k parameters and
   extrapolating the geometric tail.
-* ``golden_lorenz_delta_mantissa()`` builds the dyadic intercept of the
-  contracted rotation x/2 + delta (mod 1) whose rotation number is the
-  golden mean.  Double precision cannot hold this parameter (mode-locking
-  plateaus near it are wider than an ulp), so the value is produced as a
-  big-integer mantissa and the map carries exact dyadic coefficients.
+* ``golden_lorenz_delta_mantissa()`` writes down the dyadic intercept of
+  the contracted rotation x/2 + delta (mod 1) whose rotation number is the
+  golden mean, from its binary digits.  Double precision cannot hold this
+  parameter (mode-locking plateaus near it are wider than an ulp), so the
+  value is a big-integer mantissa and the map carries exact dyadic
+  coefficients.
 """
 
 from __future__ import annotations
@@ -122,69 +123,17 @@ def _sturmian_bit(n: int) -> int:
     return fl(n + 1) - fl(n)
 
 
-def _fibonacci_window(limit: int, pad: int = 2) -> set[int]:
-    """Indexes within `pad` of a Fibonacci number, up to `limit`."""
-    out: set[int] = set(range(0, 16))
-    a, b = 1, 2
-    while a <= limit + pad:
-        out.update(range(max(0, a - pad), a + pad + 1))
-        a, b = b, a + b
-    return {n for n in out if n <= limit}
-
-
 @functools.lru_cache(maxsize=None)
-def golden_lorenz_delta_mantissa(bits: int = LORENZ_BITS) -> int:
-    """delta * 2^bits for the golden-rotation contracted rotation x/2 + delta.
+def golden_lorenz_delta_mantissa() -> int:
+    """delta * 2^LORENZ_BITS for the golden-rotation contracted rotation x/2 + delta.
 
-    The wrap bits of the critical-value orbit are forced to the golden
-    Sturmian sequence; each step then constrains delta by a threshold
-    fraction, and the constraints converge geometrically (about 0.69 bits
-    per step) to the unique parameter.  Binding constraints occur at the
-    closest returns of the rotation, i.e. at Fibonacci indexes, so only
-    those are compared exactly; a full kneading replay at the end verifies
-    the result.
+    delta's binary digits are 1 followed by the golden Sturmian bits, the
+    series of a contracted rotation with irrational rotation number (Bugeaud,
+    C. R. Acad. Sci. Paris 317, 1993; Laurent and Nogueira, J. Mod. Dyn. 12,
+    2018); the wrap bits of the orbit of the critical value 0 under the
+    truncated map are then those Sturmian bits.
     """
-    # each side binds at every other Fibonacci index (ratio ~phi^2), so the
-    # horizon must overshoot bits/0.957 by that factor
-    steps = int(bits * 2.8) + 1024
-    watch = _fibonacci_window(steps)
-    a = 0  # orbit position is (a/2^n) + (b/2^n) * delta, exactly
-    b = 0
-    lo_num, lo_den = 1, 2  # delta in (1/2, 1)
-    hi_num, hi_den = 1, 1
-    for n in range(steps):
-        bn = _sturmian_bit(n)
-        if n in watch:
-            tn_num = (1 << (n + 1)) - a
-            tn_den = b + (1 << (n + 1))
-            if bn == 1:
-                if tn_num * lo_den > lo_num * tn_den:
-                    lo_num, lo_den = tn_num, tn_den
-            else:
-                if tn_num * hi_den < hi_num * tn_den:
-                    hi_num, hi_den = tn_num, tn_den
-        a -= bn << (n + 1)
-        b += 1 << (n + 1)
-    lo = (lo_num << bits) // lo_den
-    hi = -((-hi_num << bits) // hi_den)
-    if not 0 <= hi - lo < (1 << 16):
-        raise RuntimeError("golden delta enclosure did not converge")
-    delta = (lo + hi) // 2
-    _validate_golden_kneading(delta, bits, int(bits * 1.38))
-    return delta
-
-
-def _validate_golden_kneading(delta_mantissa: int, bits: int, n_check: int) -> None:
-    """Replay the critical-value orbit exactly; its wrap bits must be Sturmian."""
-    one = 1 << bits
-    x = 0
-    for n in range(n_check):
-        x = (x >> 1) + delta_mantissa
-        wrapped = 1 if x >= one else 0
-        if wrapped:
-            x -= one
-        if wrapped != _sturmian_bit(n):
-            raise RuntimeError(f"kneading validation failed at step {n}")
+    return int("1" + "".join(str(_sturmian_bit(n)) for n in range(1, LORENZ_BITS)), 2)
 
 
 @functools.lru_cache(maxsize=None)

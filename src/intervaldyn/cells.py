@@ -75,16 +75,6 @@ def runs(cells: np.ndarray, gap: int = 1) -> list[tuple[int, int]]:
     return [(int(cells[s]), int(cells[e])) for s, e in zip(starts, ends)]
 
 
-def intervals_to_cells(intervals, eps: float) -> np.ndarray:
-    n = ncells(eps)
-    mask = np.zeros(n, dtype=bool)
-    for lo, hi in intervals:
-        a = min(max(int(math.floor(lo / eps)), 0), n - 1)
-        b = min(max(int(math.ceil(hi / eps)) - 1, 0), n - 1)
-        mask[a : b + 1] = True
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def neighborhood(cells: np.ndarray, width: int, n: int) -> np.ndarray:
     """All indices within `width` cells of the set."""
     mask = np.zeros(n, dtype=bool)

@@ -25,25 +25,26 @@ def from_fraction(fr: Fraction, p: int, round_up: bool = False) -> int:
     return -((-num) // den) if round_up else num // den
 
 
+def _float_shift(m: int, p: int) -> int:
+    """The bits of m below the ulp of the doubles next to m / 2^p.
+
+    Those doubles are the multiples of 2^(shift - p) by integers of at most
+    53 bits; 2^-1074 is the least ulp, that of the subnormals.
+    """
+    return max(m.bit_length() - 53, p - 1074, 0)
+
+
 def to_float(m: int, p: int) -> float:
-    """Float at or below m / 2^p (truncates extra mantissa bits)."""
-    if m.bit_length() <= 62:
-        return m / (1 << p)
-    shift = m.bit_length() - 53
+    """The largest double at or below m / 2^p."""
+    shift = _float_shift(m, p)
     return math.ldexp(m >> shift, shift - p)
 
 
 def to_float_up(m: int, p: int) -> float:
-    """Float at or above m / 2^p."""
-    if m.bit_length() <= 62:
-        # compared as fractions: float(1 << p) overflows for p > 1023
-        f = m / (1 << p)
-        return math.nextafter(f, math.inf) if Fraction(f) < Fraction(m, 1 << p) else f
-    shift = m.bit_length() - 53
+    """The smallest double at or above m / 2^p."""
+    shift = _float_shift(m, p)
     head = m >> shift
-    if head << shift != m:
-        head += 1
-    return math.ldexp(head, shift - p)
+    return math.ldexp(head + (head << shift != m), shift - p)
 
 
 def to_fraction(m: int, p: int) -> Fraction:
@@ -102,9 +103,12 @@ def affine_point(x: int, branch: tuple[int, Fraction]) -> int:
 
 
 def affine_interval(lo: int, hi: int, branch: tuple[int, Fraction]) -> tuple[int, int]:
-    """The images of lo rounded down and of hi rounded up under one row of
-    ``affine_table``, in increasing order."""
+    """The image of [lo, hi] under one row of ``affine_table``, its lower end
+    rounded down and its upper end up: the image of hi is the lower end on a
+    decreasing branch."""
     b0, slope = branch
+    if slope < 0:
+        lo, hi = hi, lo
     ilo = (lo * slope.numerator) // slope.denominator + b0
     ihi = -((-hi * slope.numerator) // slope.denominator) + b0
-    return (ilo, ihi) if ilo <= ihi else (ihi, ilo)
+    return ilo, ihi

@@ -225,13 +225,12 @@ class NestedWitness:
 
 
 class _ChainBuilder:
-    def __init__(self, pmap: PiecewiseMap, phi: Observable, shadow_eps: float):
+    def __init__(self, pmap: PiecewiseMap, phi: Observable):
         self.pmap = pmap
         self.phi = phi
         self.p = CHAIN_BITS
         self.arith = [_BranchArith(b) for b in pmap.branches]
         self.cm, self.cuts = _tables(pmap, self.arith, self.p)
-        self.shadow_eps = shadow_eps
         self.branch_word: list[int] = []
         self.slope_log2: list[float] = []
         self.floor_bits = 48
@@ -493,8 +492,6 @@ def construct_historic_point(
     orbit_hi,
     orbit_lo,
     stages: int = 2,
-    shadow_eps: float = SHADOW_EPS,
-    dominance: float = DOMINANCE,
     check_transitivity: bool = True,
     _single_phase: bool = False,
 ) -> NestedWitness:
@@ -514,7 +511,7 @@ def construct_historic_point(
         for x in pts:
             if not any(lo - 1e-9 <= x <= hi + 1e-9 for lo, hi in cycle_intervals):
                 raise ValueError(f"target orbit point {x} outside the cycle")
-    r = shadow_eps
+    r = SHADOW_EPS
     for pts in (hi_pts, lo_pts):
         for x in pts:
             d = min(abs(x - c) for c in pmap.fcritical)
@@ -527,7 +524,7 @@ def construct_historic_point(
         if not rep.passed:
             raise ValueError("cycle support failed the strong-transitivity check")
 
-    builder = _ChainBuilder(pmap, phi, r)
+    builder = _ChainBuilder(pmap, phi)
     span = cycle_intervals[0][1] - cycle_intervals[0][0]
     x_seed = cycle_intervals[0][0] + 0.37 * span
     builder.seed(x_seed, r / 2)
@@ -556,10 +553,10 @@ def construct_historic_point(
     def run_phase(orbit_pts, label):
         # reserve the ball floor for the worst-case phase length before the
         # connection pins the chain bottom at the current floor
-        worst = int(math.ceil(dominance * (builder.time + CONN_BUDGET))) + 16
+        worst = int(math.ceil(DOMINANCE * (builder.time + CONN_BUDGET))) + 16
         builder.plan_phase(worst, builder.max_slope_bits)
         steps = builder.connect(orbit_pts[0], r)
-        length = max(int(math.ceil(dominance * builder.time)), 16)
+        length = max(int(math.ceil(DOMINANCE * builder.time)), 16)
         builder.shadow(orbit_pts, length, r)
         plan.append(
             {"phase": label, "connect": steps, "shadow": length, "end": builder.time}
@@ -639,7 +636,6 @@ def construct_max_average_point(
     Q: int = 12,
     stages: int = 3,
     single_phase: bool = True,
-    shadow_eps: float = SHADOW_EPS,
 ) -> tuple[NestedWitness, float]:
     """Witness whose certified average approaches the Birkhoff maximum a_j(Q).
 
@@ -659,7 +655,6 @@ def construct_max_average_point(
             orbit_hi,
             orbit_hi,
             stages=stages,
-            shadow_eps=shadow_eps,
             check_transitivity=False,
             _single_phase=True,
         )
@@ -673,7 +668,6 @@ def construct_max_average_point(
         orbit_hi,
         lo_orb.points,
         stages=stages,
-        shadow_eps=shadow_eps,
         check_transitivity=False,
     )
     return witness, oracle.value

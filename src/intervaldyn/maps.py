@@ -7,9 +7,8 @@ non-critical breakpoints (smooth joins, produced e.g. by surgery) are
 allowed and evaluation there is well defined.
 
 Orbit convention: an orbit landing within ``CRITICAL_TOL`` of a critical
-point is truncated, unless the map is continuous at that point and
-pass-through is enabled, in which case it continues with the common
-one-sided value.
+point is truncated, unless the map is continuous at every critical point,
+in which case it continues with the common one-sided value.
 """
 
 from __future__ import annotations
@@ -199,32 +198,18 @@ class PiecewiseMap:
 
     # -- orbits ------------------------------------------------------------------
 
-    def step_through_critical(self, c: float) -> float | None:
-        """Value used to continue through a continuity-flagged critical point."""
-        for cc, flag in zip(self.fcritical, self.continuity):
-            if abs(cc - c) <= CRITICAL_TOL:
-                return self.one_sided_limit(cc, MINUS) if flag else None
-        return None
-
-    def iterate_orbit(
-        self, x0: float, n: int, continue_through_critical: bool | None = None
-    ) -> OrbitResult:
+    def iterate_orbit(self, x0: float, n: int) -> OrbitResult:
         """Record x0, f(x0), ..., up to n steps under the truncation convention."""
-        if continue_through_critical is None:
-            continue_through_critical = self.is_continuous
         pts = np.empty(n + 1)
         pts[0] = x = float(x0)
         for k in range(n):
             c = self.nearest_critical(x)
-            if c is not None:
-                if continue_through_critical:
-                    y = self.step_through_critical(c)
-                    if y is None:
-                        return OrbitResult(pts[: k + 1], Termination.CRITICAL, k, c)
-                else:
-                    return OrbitResult(pts[: k + 1], Termination.CRITICAL, k, c)
-            else:
+            if c is None:
                 y = self.branches[self.branch_index(x)].value(x)
+            elif self.is_continuous:
+                y = self.one_sided_limit(c, MINUS)
+            else:
+                return OrbitResult(pts[: k + 1], Termination.CRITICAL, k, c)
             if y < 0.0 or y > 1.0:
                 if y < -RANGE_TOL or y > 1.0 + RANGE_TOL or math.isnan(y):
                     return OrbitResult(pts[: k + 1], Termination.DEGENERATE, k, None)

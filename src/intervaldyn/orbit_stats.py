@@ -46,7 +46,9 @@ DYADIC_ORBIT_BITS = 41000
 # orbit engines
 
 
-#: The last orbit orbit_points computed: (map, (type(x0), repr(x0), n), result).
+#: The last orbit orbit_points computed: (map, key, result), keyed by
+#: x0's type, value and sign (-0.0 == 0.0, but their float orbits differ in
+#: sign) and n.
 #: The statistics of one orbit (omega, omega*, the Birkhoff envelope) each
 #: ask for it in turn; one held orbit serves them all and bounds what is kept.
 _last_orbit: tuple | None = None
@@ -56,10 +58,10 @@ def orbit_points(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
     """Orbit array x_0..x_n (possibly shorter) plus a truncation flag.
 
     The array is read-only: the last orbit computed is held and returned
-    again for the same map object, the same x0 (type and value) and n.
+    again for the same map object, the same x0 (type, value and sign) and n.
     """
     global _last_orbit
-    key = (type(x0), repr(x0), n)
+    key = (type(x0), x0, math.copysign(1.0, x0), n)
     held = _last_orbit
     if held is not None and held[0] is pmap and held[1] == key:
         return held[2]
@@ -130,8 +132,9 @@ def _exact_orbit_fraction(pmap: PiecewiseMap, x0: Fraction, n: int):
     return pts, False
 
 
-def _exact_orbit_prime(pmap: PiecewiseMap, x0: float, n: int, q: int = ORBIT_PRIME):
-    """Exact /q orbit of the nearest q-rational to a float seed."""
+def _exact_orbit_prime(pmap: PiecewiseMap, x0: float, n: int):
+    """Exact /q orbit of the nearest q-rational to a float seed, q = ORBIT_PRIME."""
+    q = ORBIT_PRIME
     ms, bs, tq = _linear_tables(pmap, q)
     p = min(max(int(round(x0 * q)), 1), q - 1)
     pts = np.empty(n + 1)
@@ -143,36 +146,30 @@ def _exact_orbit_prime(pmap: PiecewiseMap, x0: float, n: int, q: int = ORBIT_PRI
     return pts
 
 
-def _dyadic_iterates(pmap: PiecewiseMap, x0: Fraction, n: int, p_bits: int):
-    """Mantissas x_0..x_n of the truncated orbit of a dyadic-affine map."""
-    coeffs, cuts = dyadic.affine_table(pmap, p_bits)
-    x = dyadic.from_fraction(x0, p_bits)
+def _dyadic_iterates(pmap: PiecewiseMap, x0: Fraction, n: int):
+    """Mantissas x_0..x_n at DYADIC_ORBIT_BITS of the truncated orbit of a
+    dyadic-affine map."""
+    coeffs, cuts = dyadic.affine_table(pmap, DYADIC_ORBIT_BITS)
+    x = dyadic.from_fraction(x0, DYADIC_ORBIT_BITS)
     yield x
     for _ in range(n):
         x = dyadic.affine_point(x, coeffs[bisect_left(cuts, x)])
         yield x
 
 
-def _dyadic_orbit(
-    pmap: PiecewiseMap, x0: Fraction, n: int, p_bits: int = DYADIC_ORBIT_BITS
-) -> np.ndarray:
+def _dyadic_orbit(pmap: PiecewiseMap, x0: Fraction, n: int) -> np.ndarray:
     """Truncated-mantissa orbit for dyadic-affine contracting maps."""
-    xs = _dyadic_iterates(pmap, x0, n, p_bits)
-    return np.fromiter((dyadic.to_float(x, p_bits) for x in xs), float, n + 1)
+    xs = _dyadic_iterates(pmap, x0, n)
+    return np.fromiter((dyadic.to_float(x, DYADIC_ORBIT_BITS) for x in xs), float, n + 1)
 
 
 def dyadic_orbit_cells(
-    pmap: PiecewiseMap,
-    x0: Fraction,
-    n: int,
-    eps_bits: int,
-    transient: int = 0,
-    p_bits: int = DYADIC_ORBIT_BITS,
+    pmap: PiecewiseMap, x0: Fraction, n: int, eps_bits: int, transient: int = 0
 ) -> np.ndarray:
     """Exact cell indices visited by a dyadic-affine orbit over [transient, n]."""
     nc = 1 << eps_bits
-    xs = islice(_dyadic_iterates(pmap, x0, n, p_bits), transient, None)
-    cells = {min((x << eps_bits) >> p_bits, nc - 1) for x in xs}
+    xs = islice(_dyadic_iterates(pmap, x0, n), transient, None)
+    cells = {min((x << eps_bits) >> DYADIC_ORBIT_BITS, nc - 1) for x in xs}
     return np.asarray(sorted(cells), dtype=np.int64)
 
 
@@ -183,6 +180,10 @@ def dyadic_orbit_cells(
 #: engine moves iterates that land on the endpoints 1 and 0.
 _BELOW_ONE = 1.0 - 2.0**-53
 _ABOVE_ZERO = 2.0**-1022
+
+#: Steps per block of the batch engine: its iterates are written into one
+#: (BLOCK_STEPS, n_seeds) array and turned into cells a block at a time.
+BLOCK_STEPS = 1024
 
 #: Largest supported ``fine_bits``: the exact engine forms
 #: ``state << fine_bits`` with state < ORBIT_PRIME < 2**31 in int64.
@@ -326,13 +327,12 @@ def batch_cells(
     transient: int,
     fine_bits: int = 14,
     want_counts: bool = False,
-    chunk: int = 1024,
 ) -> BatchCells:
     """Cell visit masks (and optional counts) for many seeds simultaneously.
 
     Integer-linear maps run exactly on p/ORBIT_PRIME, all others in double
-    precision.  Iterates are produced ``chunk`` steps at a time into one
-    preallocated (chunk, n_seeds) block; cell indices, counts and visit
+    precision.  Iterates are produced BLOCK_STEPS steps at a time into one
+    preallocated (BLOCK_STEPS, n_seeds) block; cell indices, counts and visit
     masks are then updated once per block.  A float block is stepped
     without the endpoint clamp and stepped again with it only when one of
     its iterates leaves (0, 1).
@@ -342,8 +342,6 @@ def batch_cells(
     """
     if not 0 <= fine_bits <= MAX_FINE_BITS:
         raise ValueError(f"fine_bits must lie in [0, {MAX_FINE_BITS}], got {fine_bits}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
     x0s = np.asarray(x0s, dtype=float)
     ns = len(x0s)
     nf = 1 << fine_bits
@@ -361,7 +359,7 @@ def batch_cells(
 
     exact = pmap.integer_linear
     q = ORBIT_PRIME
-    block = min(chunk, n)
+    block = min(BLOCK_STEPS, n)
     # row 0 carries the state into the block, rows 1..block receive its iterates
     states = np.empty((block + 1, ns), dtype=np.int64 if exact else float)
     if exact:

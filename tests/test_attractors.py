@@ -125,21 +125,21 @@ def _support_of(pmap, x0, horizon=400_000, fine_bits=14):
 
 def test_classify_cycle_logistic4(logistic4):
     mask = _support_of(logistic4, 0.2137)
-    est = classify_attractor(logistic4, None, 2.0**-12, fine_mask=mask, fine_bits=14)
+    est = classify_attractor(logistic4, 2.0**-12, mask, 14)
     assert est.kind == "cycle"
     assert est.intervals == [(0.0, 1.0)]
 
 
 def test_classify_periodic_logistic32(logistic32):
     mask = _support_of(logistic32, 0.2137, horizon=100_000)
-    est = classify_attractor(logistic32, None, 2.0**-12, fine_mask=mask, fine_bits=14)
+    est = classify_attractor(logistic32, 2.0**-12, mask, 14)
     assert est.kind == "periodic_like"
     assert len(est.points) == 2
 
 
 def test_classify_cantor_feigenbaum(feigenbaum_map):
     mask = _support_of(feigenbaum_map, 0.2137, horizon=1_000_000)
-    est = classify_attractor(feigenbaum_map, None, 2.0**-12, fine_mask=mask, fine_bits=14)
+    est = classify_attractor(feigenbaum_map, 2.0**-12, mask, 14)
     assert est.kind == "cantor", est.diagnostics
     assert est.diagnostics["slope"] <= 0.8
 
@@ -150,7 +150,7 @@ def test_classification_refinement_stable(logistic4, logistic32):
         mask = _support_of(pmap, x0, horizon=200_000, fine_bits=14)
         kinds = set()
         for eps in (2.0**-10, 2.0**-11):
-            est = classify_attractor(pmap, None, eps, fine_mask=mask, fine_bits=14)
+            est = classify_attractor(pmap, eps, mask, 14)
             kinds.add(est.kind)
         assert len(kinds) == 1
 

@@ -1,6 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from intervaldyn import dyadic
 
@@ -26,3 +29,47 @@ def test_poly_bounds_match_plain_horner(p):
             for x in (0, 1, 1 << p, rng.randint(0, 1 << p), rng.randint(-(1 << p), 2 << p)):
                 assert dyadic.poly_down(coeffs, x, p) == _horner(coeffs, x, p, False)
                 assert dyadic.poly_up(coeffs, x, p) == _horner(coeffs, x, p, True)
+
+
+# -- directed conversion and enclosure, as properties compared in Fractions ------
+
+# mantissas of every length from 1 to 130 bits, so the 54- to 62-bit ones
+# that a double cannot hold are drawn as often as the others
+MANTISSAS = st.integers(1, 130).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(MANTISSAS | st.just(0), st.integers(0, 1300))
+@example(2**62 - 1, 62)
+@example(1, 1075)
+@example(3, 1075)
+def test_to_float_is_the_largest_double_below(m, p):
+    x = Fraction(m, 1 << p)
+    f = dyadic.to_float(m, p)
+    assert Fraction(f) <= x < Fraction(math.nextafter(f, math.inf))
+
+
+@settings(derandomize=True, deadline=None)
+@given(MANTISSAS | st.just(0), st.integers(0, 1300))
+@example(2**62 - 1, 62)
+@example(1, 1075)
+@example(1, 1300)
+def test_to_float_up_is_the_smallest_double_above(m, p):
+    x = Fraction(m, 1 << p)
+    f = dyadic.to_float_up(m, p)
+    assert Fraction(math.nextafter(f, -math.inf)) < x <= Fraction(f)
+
+
+# slopes of both signs with dyadic denominators, as in ``affine_table`` rows
+SLOPES = st.builds(Fraction, st.integers(-64, 64).filter(bool), st.sampled_from([1, 2, 4, 8, 1 << 40]))
+ENDS = st.integers(-(1 << 80), 1 << 80)
+
+
+@settings(derandomize=True, deadline=None)
+@given(ENDS, SLOPES, ENDS, ENDS)
+@example(3 << 7, Fraction(-3, 2), 129, 131)  # tent(3/2)'s right branch at p = 8
+def test_affine_interval_encloses_the_image(b0, slope, lo, hi):
+    lo, hi = min(lo, hi), max(lo, hi)
+    ilo, ihi = dyadic.affine_interval(lo, hi, (b0, slope))
+    ends = sorted(b0 + slope * x for x in (lo, hi))
+    assert ilo == math.floor(ends[0]) and ihi == math.ceil(ends[1])

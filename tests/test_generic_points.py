@@ -44,10 +44,15 @@ def doubling_witness(doubling_map):
 # logistic4 was re-recorded when the quadratic pullback began taking its root
 # sign from the branch's monotonicity, which moves its stage intervals (not
 # its envelope): before, three of its pullback steps took the root across 1/2.
+# All three were re-recorded when dyadic.to_float and to_float_up began
+# rounding subnormal results in their own direction: the forward pass had
+# bounded positive observable values near 0 from above by 0.0.  The upper
+# envelope at the last three checkpoints rose by at most 8.4e-17, and
+# nothing else moved.
 WITNESS_DIGESTS = {
-    "tent2": "781ec3c6750b8be0cfee00f31d3da516452660966570490e8d87a8f0421fc4a4",
-    "logistic4": "42699b4400dff38edbbb59b403b026d8c5d349af6158c7a82c5f6db2bc5b3fdb",
-    "doubling": "ba062ce59bd0ea54dbd7a678be59a96558b12a4fb1dcbf117847684573857373",
+    "tent2": "282851900c44f9ab1a9a1d0643a65c2db112321d9a55d8a1404d914e8ee3e37b",
+    "logistic4": "2b1d1dae926cdfd27fe6a5e09e08d31befdc36ac094942f41415c30478fe07db",
+    "doubling": "7c53bba92f323296dfdcf096244c53cc9de82c452f5ca972cc83dbcf630d5fc8",
 }
 
 

@@ -52,8 +52,8 @@ def test_continuity_flags(logistic4, doubling_map, tent2, bimodal_map):
     assert logistic4.is_continuous and not doubling_map.is_continuous
 
 
-def test_orbit_truncates_at_critical(logistic4):
-    orb = logistic4.iterate_orbit(0.5, 10, continue_through_critical=False)
+def test_orbit_truncates_at_critical(doubling_map):
+    orb = doubling_map.iterate_orbit(0.5, 10)  # discontinuous at 1/2
     assert orb.termination is Termination.CRITICAL
     assert orb.trunc_step == 0 and orb.trunc_critical == 0.5
     assert list(orb.points) == [0.5]

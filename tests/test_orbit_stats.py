@@ -292,12 +292,6 @@ def test_batch_rejects_fine_bits_before_allocating(fine_bits, logistic4, tent2, 
             batch_cells(pmap, np.array([0.3, 0.6]), 10, 5, fine_bits=fine_bits)
 
 
-def test_batch_rejects_empty_blocks(logistic4):
-    # a block of no steps never advances the orbit
-    with pytest.raises(ValueError, match="chunk"):
-        batch_cells(logistic4, np.array([0.3]), 10, 5, chunk=0)
-
-
 @pytest.mark.parametrize("want_counts", [False, True])
 def test_batch_rejects_masks_beyond_memory(want_counts, logistic4, tent2, monkeypatch):
     def refuse(*args, **kwargs):
@@ -322,6 +316,22 @@ def test_orbit_points_keeps_engines_apart(doubling_map, first):
             assert truncated and pts.tolist() == [0.5]
         else:
             assert not truncated and len(pts) == 11 and pts[0] != 0.5
+
+
+def test_orbit_points_keeps_signed_zeros_apart(logistic4):
+    # -0.0 == 0.0, but the float orbit starts from the seed's own sign
+    for x0 in (0.0, -0.0, 0.0):
+        pts, _ = orbit_points(logistic4, x0, 3)
+        assert math.copysign(1.0, pts[0]) == math.copysign(1.0, x0)
+
+
+def test_orbit_points_takes_long_fraction_seeds(lorenz_map):
+    # the critical point has a 40 000-bit denominator, past the limit on
+    # converting integers to decimal strings
+    c = lorenz_map.critical[0]
+    pts, truncated = orbit_points(lorenz_map, c, 1)
+    assert not truncated and pts.tolist() == [float(c), 1.0]
+    assert orbit_points(lorenz_map, c, 1)[0] is pts
 
 
 def test_orbit_points_holds_one_read_only_orbit(logistic4):
