@@ -21,7 +21,7 @@ import numpy as np
 
 from .cells import cellset_from_bool, coarsen_bool, hausdorff_cells, runs
 from .maps import MINUS, PLUS, PiecewiseMap
-from .orbit_stats import batch_cells, orbit_points
+from .orbit_stats import CellEstimate, batch_cells, omega_limit_estimate, orbit_points
 from .structure import PeriodicOrbit, periodic_orbits
 
 #: classification thresholds (box-count slope)
@@ -182,13 +182,10 @@ def critical_orbit_closure(
     gens = sides.generators()
     if not gens:
         raise ValueError("signed sides are empty")
-    from .orbit_stats import CellEstimate, omega_limit_estimate
-    from .structure import _seed_for
-
     cell_sets = []
     truncated = False
     for c, side in gens:
-        est = omega_limit_estimate(pmap, _seed_for(pmap, c, side), 0, n, eps)
+        est = omega_limit_estimate(pmap, pmap.one_sided_limit_exact(c, side), 0, n, eps)
         truncated |= est.truncated
         cell_sets.append(est.cells)
     cells = np.unique(np.concatenate(cell_sets))

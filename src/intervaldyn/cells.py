@@ -32,10 +32,13 @@ def cells_containing(x: float, eps: float, tol: float = 1e-12) -> list[int]:
     return sorted(out)
 
 
+def cell_indices(xs: np.ndarray, eps: float) -> np.ndarray:
+    """The cell of each value: ``cell_of`` over an array."""
+    return np.clip((np.asarray(xs) / eps).astype(np.int64), 0, ncells(eps) - 1)
+
+
 def cells_of_points(xs: np.ndarray, eps: float) -> np.ndarray:
-    n = ncells(eps)
-    idx = np.clip((np.asarray(xs) / eps).astype(np.int64), 0, n - 1)
-    return np.unique(idx)
+    return np.unique(cell_indices(xs, eps))
 
 
 def cellset_from_bool(visited: np.ndarray) -> np.ndarray:

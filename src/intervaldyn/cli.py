@@ -176,6 +176,16 @@ def cmd_decompose(pmap, args) -> int:
     return 0
 
 
+def _extreme_orbits(pmap, intervals, phi: Observable, Q: int):
+    """The periodic orbits of period <= Q inside the intervals with the
+    largest and the smallest phi-mean."""
+    inside = [o for o in periodic_orbits(pmap, Q, [phi]).orbits if o.inside(intervals, 1e-9)]
+    return (
+        max(inside, key=lambda o: o.means[phi.name]),
+        min(inside, key=lambda o: o.means[phi.name]),
+    )
+
+
 def cmd_historic(pmap, args) -> int:
     report = basin_census(pmap, 40, seed=args.seed, horizon=min(args.horizon, 200_000), eps=args.eps)
     cyc = [c.estimate for c in report.clusters if c.estimate.kind == "cycle"]
@@ -183,14 +193,7 @@ def cmd_historic(pmap, args) -> int:
         print("no cycle-of-intervals attractor: historic witnesses do not exist here")
         return 1
     phi = _phi(args.phi)
-    table = periodic_orbits(pmap, 8, [phi])
-    inside = [
-        o
-        for o in table.orbits
-        if all(any(l - 1e-9 <= p <= h + 1e-9 for l, h in cyc[0].intervals) for p in o.points)
-    ]
-    hi = max(inside, key=lambda o: o.means[phi.name])
-    lo = min(inside, key=lambda o: o.means[phi.name])
+    hi, lo = _extreme_orbits(pmap, cyc[0].intervals, phi, 8)
     witness = construct_historic_point(
         pmap, cyc[0].intervals, phi, hi.points, lo.points, stages=args.stages
     )
@@ -221,7 +224,6 @@ def cmd_verify(pmap, args) -> int:
     phi = Observable.identity()
     horizon = min(args.horizon, 300_000)
     report = basin_census(pmap, 60, seed=args.seed, horizon=horizon, eps=args.eps)
-    nc = len(pmap.critical)
     if not report.bound_ok:
         failures.append(f"attractor count exceeds bound {report.bound}")
     notes.append(
@@ -262,14 +264,7 @@ def cmd_verify(pmap, args) -> int:
     # historic witness on continuous cycle maps
     if has_cycle and pmap.is_continuous:
         cyc = next(c.estimate for c in report.clusters if c.estimate.kind == "cycle")
-        table = periodic_orbits(pmap, 6, [phi])
-        inside = [
-            o
-            for o in table.orbits
-            if all(any(l - 1e-9 <= p <= h + 1e-9 for l, h in cyc.intervals) for p in o.points)
-        ]
-        hi = max(inside, key=lambda o: o.means[phi.name])
-        lo = min(inside, key=lambda o: o.means[phi.name])
+        hi, lo = _extreme_orbits(pmap, cyc.intervals, phi, 6)
         if hi.means[phi.name] - lo.means[phi.name] > 0.05:
             witness = construct_historic_point(
                 pmap, cyc.intervals, phi, hi.points, lo.points, stages=2,

@@ -10,20 +10,23 @@ outer estimate of the nonwandering set.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .cells import cells_containing, runs
+from .cells import cells_containing, ncells, runs
 from .errors import DichotomyViolation, ResolutionTooFine
 from .maps import PiecewiseMap
 
-#: outward rounding margin (absolute) for cell images
-EDGE_MARGIN = 1e-12
-
 #: memory guard
 MIN_EPS = 1e-5
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + k)`` over the pairs (s, k)."""
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(len(offsets), dtype=np.int64)
 
 
 @dataclass
@@ -33,6 +36,25 @@ class GridDynamics:
     ranges: list[list[tuple[int, int]]]   # per cell: target index ranges [lo, hi]
     pmap: PiecewiseMap
 
+    def __post_init__(self):
+        # the graph does not change after construction: both adjacencies
+        # and the self-loops are built here, once
+        n = self.ncells
+        segs = np.array([s for r in self.ranges for s in r], dtype=np.int64).reshape(-1, 2)
+        owner = np.repeat(np.arange(n, dtype=np.int64), [len(r) for r in self.ranges])
+        widths = segs[:, 1] - segs[:, 0] + 1
+        sources = np.repeat(owner, widths)
+        indices = _concat_ranges(segs[:, 0], widths)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=n))])
+        rptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=n))])
+        rind = sources[np.argsort(indices, kind="stable")]
+        self._selfloop = np.zeros(n, dtype=bool)
+        self._selfloop[owner[(segs[:, 0] <= owner) & (owner <= segs[:, 1])]] = True
+        for a in (indptr, indices, rptr, rind, self._selfloop):
+            a.flags.writeable = False
+        self._csr = indptr, indices
+        self._rcsr = rptr, rind
+
     def targets(self, i: int) -> np.ndarray:
         segs = [np.arange(lo, hi + 1) for lo, hi in self.ranges[i]]
         return np.unique(np.concatenate(segs))
@@ -41,26 +63,29 @@ class GridDynamics:
         return any(lo <= j <= hi for lo, hi in self.ranges[i])
 
     def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        counts = np.zeros(self.ncells + 1, dtype=np.int64)
-        for i, segs in enumerate(self.ranges):
-            counts[i + 1] = sum(hi - lo + 1 for lo, hi in segs)
-        indptr = np.cumsum(counts)
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        for i, segs in enumerate(self.ranges):
-            pos = indptr[i]
-            for lo, hi in segs:
-                k = hi - lo + 1
-                indices[pos : pos + k] = np.arange(lo, hi + 1)
-                pos += k
-        return indptr, indices
+        """Successors in CSR form: the targets of cell i are
+        ``indices[indptr[i] : indptr[i + 1]]``, in the order of ``ranges[i]``."""
+        return self._csr
 
     def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Predecessors in CSR form: the cells with an edge into j are
         ``rind[rptr[j] : rptr[j + 1]]``, in increasing order."""
-        indptr, indices = self.adjacency_csr()
-        rptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=self.ncells))])
-        sources = np.repeat(np.arange(self.ncells, dtype=np.int64), np.diff(indptr))
-        return rptr, sources[np.argsort(indices, kind="stable")]
+        return self._rcsr
+
+    def distances_to(self, cells) -> np.ndarray:
+        """Fewest edges from each cell to one of ``cells`` (0 on them), or -1
+        where no path leads there: a level-by-level backward search."""
+        rptr, rind = self._rcsr
+        dist = np.full(self.ncells, -1, dtype=np.int64)
+        frontier = np.unique(np.asarray(cells, dtype=np.int64))
+        level = 0
+        while frontier.size:
+            dist[frontier] = level
+            starts = rptr[frontier]
+            preds = rind[_concat_ranges(starts, rptr[frontier + 1] - starts)]
+            frontier = np.unique(preds[dist[preds] < 0])
+            level += 1
+        return dist
 
 
 def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
@@ -76,12 +101,10 @@ def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
     """
     if eps < MIN_EPS:
         raise ResolutionTooFine(f"eps={eps} below the guard {MIN_EPS}")
-    from fractions import Fraction
-
     eps_fr = Fraction(eps)
     inv = 1 / eps_fr
     noise = Fraction(1, 10**12) * inv  # float-noise guard, in cell units
-    n = max(1, math.ceil(round(1.0 / eps, 9)))
+    n = ncells(eps)
     breaks = list(pmap.breakpoints[1:-1])
     critical = set(pmap.critical)
     one = Fraction(1)
@@ -182,10 +205,7 @@ def nonwandering_estimate(gd: GridDynamics) -> np.ndarray:
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
     sizes = np.asarray(comp_size)
-    recurrent = sizes[comp] >= 2
-    for i in range(n):
-        if not recurrent[i] and gd.has_edge(i, i):
-            recurrent[i] = True
+    recurrent = (sizes[comp] >= 2) | gd._selfloop
     return np.flatnonzero(recurrent).astype(np.int64)
 
 
@@ -193,21 +213,8 @@ def component_of_critical(gd: GridDynamics, c: float, omega: np.ndarray | None =
     """U(c): nonwandering cells whose forward-reachable set meets the cell of c."""
     if omega is None:
         omega = nonwandering_estimate(gd)
-    n = gd.ncells
-    rptr, rind = gd.reverse_csr()
-    seeds = [cc for cc in cells_containing(float(c), gd.eps)]
-    reach = np.zeros(n, dtype=bool)
-    stack = list(seeds)
-    for s in seeds:
-        reach[s] = True
-    while stack:
-        v = stack.pop()
-        for k in range(rptr[v], rptr[v + 1]):
-            u = rind[k]
-            if not reach[u]:
-                reach[u] = True
-                stack.append(int(u))
-    mask = np.zeros(n, dtype=bool)
+    reach = gd.distances_to(cells_containing(float(c), gd.eps)) >= 0
+    mask = np.zeros(gd.ncells, dtype=bool)
     mask[omega] = True
     return np.flatnonzero(reach & mask).astype(np.int64)
 

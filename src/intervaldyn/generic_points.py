@@ -36,17 +36,20 @@ from math import isqrt
 import numpy as np
 
 from . import dyadic
+from .cells import cell_of
+from .decomposition import grid_graph
 from .errors import EnvelopeViolation, NotClassified, ShadowingFailed
 from .maps import PiecewiseMap
 from .observables import Observable
-from .orbit_stats import BirkhoffSeries, series_from_values
-from .structure import birkhoff_max_oracle, periodic_orbits, strong_transitivity_check
+from .orbit_stats import BirkhoffSeries, _checkpoints, series_from_values
+from .structure import birkhoff_max_oracle, strong_transitivity_check
 
 CHAIN_BITS = 320
 SHADOW_EPS = 1e-3
 DOMINANCE = 4.0
 CONN_BUDGET = 512
 SHED_BITS = 64  # the forward pass drops surplus precision in chunks of at least this
+STEER_EPS = 2.0**-8  # cell width of the graph that steers connections
 
 
 def _frac_hex(fr: Fraction) -> str:
@@ -318,9 +321,8 @@ class _ChainBuilder:
                     if side_hi - side_lo <= 0:
                         continue
                     m = dyadic.to_float((side_lo + side_hi) // 2, self.p)
-                    cell = min(int(m * len(dist)), len(dist) - 1)
                     w = dyadic.to_float(side_hi - side_lo, self.p)
-                    score = (dist[cell], -w)
+                    score = (dist[cell_of(m, STEER_EPS)], -w)
                     if best is None or score < best[0]:
                         best = (score, side_lo, side_hi)
             if best is None:
@@ -343,23 +345,9 @@ class _ChainBuilder:
     def _steer_distances(self, target: float) -> np.ndarray:
         key = round(target, 9)
         if key not in self._steer:
-            from .decomposition import grid_graph
-
-            gd = grid_graph(self.pmap, 2.0**-8)
-            tcell = min(int(target * gd.ncells), gd.ncells - 1)
-            rptr, rind = gd.reverse_csr()
-            dist = np.full(gd.ncells, 1 << 30, dtype=np.int64)
-            dist[tcell] = 0
-            frontier = [tcell]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for k in range(rptr[v], rptr[v + 1]):
-                        u = rind[k]
-                        if dist[u] > dist[v] + 1:
-                            dist[u] = dist[v] + 1
-                            nxt.append(int(u))
-                frontier = nxt
+            gd = grid_graph(self.pmap, STEER_EPS)
+            dist = gd.distances_to([cell_of(target, STEER_EPS)])
+            dist[dist < 0] = 1 << 30
             self._steer[key] = dist
         return self._steer[key]
 
@@ -609,10 +597,7 @@ def construct_historic_point(
     certified_sup = max(hi_marks) if hi_marks else float(avg_lo[-1])
     certified_inf = min(lo_marks) if lo_marks else float(avg_hi[-1])
 
-    cps = [1 << k for k in range(1, total.bit_length()) if (1 << k) <= total]
-    if not cps or cps[-1] != total:
-        cps.append(total)
-    times = np.asarray(cps, dtype=np.int64)
+    times = _checkpoints(total)[1:]
     return NestedWitness(
         pmap.name,
         phi.name,
@@ -635,40 +620,25 @@ def construct_max_average_point(
     phi: Observable,
     Q: int = 12,
     stages: int = 3,
-    single_phase: bool = True,
 ) -> tuple[NestedWitness, float]:
     """Witness whose certified average approaches the Birkhoff maximum a_j(Q).
 
-    Requires a cycle-of-intervals attractor; in single-phase mode all phases
-    target the argmax orbit and the envelope pins the full average; otherwise
-    a second low orbit keeps the point historic.
+    Requires a cycle-of-intervals attractor; every phase targets the argmax
+    orbit, so the envelope pins the full average.
     """
     if getattr(attractor, "kind", None) != "cycle":
         raise NotClassified("construction requires a cycle-of-intervals attractor")
     oracle = birkhoff_max_oracle(pmap, attractor, phi, Q)
     orbit_hi = oracle.argmax_orbit.points
-    if single_phase:
-        witness = construct_historic_point(
-            pmap,
-            attractor.intervals,
-            phi,
-            orbit_hi,
-            orbit_hi,
-            stages=stages,
-            check_transitivity=False,
-            _single_phase=True,
-        )
-        return witness, oracle.value
-    table = periodic_orbits(pmap, Q, [phi])
-    lo_orb = min(table.orbits, key=lambda o: o.means[phi.name])
     witness = construct_historic_point(
         pmap,
         attractor.intervals,
         phi,
         orbit_hi,
-        lo_orb.points,
+        orbit_hi,
         stages=stages,
         check_transitivity=False,
+        _single_phase=True,
     )
     return witness, oracle.value
 

@@ -190,6 +190,7 @@ class PiecewiseMap:
                     break
         if idx is None or idx == 0 or idx == len(self.breakpoints) - 1:
             raise ValueError(f"{float(c)} is not an interior breakpoint")
+        c = self.breakpoints[idx]  # the branches meet at the exact point, not its float mirror
         if side == MINUS:
             return self.branches[idx - 1].value_exact(c)
         if side == PLUS:

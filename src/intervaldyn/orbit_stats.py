@@ -32,7 +32,7 @@ import numpy as np
 from . import dyadic
 from .branch import BranchSpec
 from .catalog import ORBIT_PRIME
-from .cells import cells_of_points, ncells
+from .cells import cell_indices, cells_of_points, ncells
 from .errors import ResolutionTooFine
 from .maps import PiecewiseMap, Termination
 from .observables import Observable
@@ -567,9 +567,7 @@ def statistical_omega_estimate(
     if theta <= 0:
         raise ValueError("theta must be positive")
     pts, truncated = orbit_points(pmap, x0, n)
-    nc = ncells(eps)
-    idx = np.clip((pts / eps).astype(np.int64), 0, nc - 1)
-    counts = np.bincount(idx, minlength=nc)
+    counts = np.bincount(cell_indices(pts, eps), minlength=ncells(eps))
     cells = np.flatnonzero(counts / len(pts) > theta).astype(np.int64)
     return CellEstimate(cells, eps, truncated)
 
@@ -604,9 +602,7 @@ def detect_historic(
 
 def empirical_measure(pmap: PiecewiseMap, x0, n: int, eps: float) -> EmpiricalMeasure:
     pts, _ = orbit_points(pmap, x0, n)
-    nc = ncells(eps)
-    idx = np.clip((pts / eps).astype(np.int64), 0, nc - 1)
-    counts = np.bincount(idx, minlength=nc).astype(float)
+    counts = np.bincount(cell_indices(pts, eps), minlength=ncells(eps)).astype(float)
     return EmpiricalMeasure(eps, counts / len(pts), len(pts))
 
 

@@ -21,7 +21,13 @@ from .cells import hausdorff_cells, cells_containing
 from .errors import DegenerateFamily, NotClassified
 from .maps import PiecewiseMap, MINUS, PLUS
 from .observables import Observable
-from .orbit_stats import DYADIC_ORBIT_BITS, dyadic_orbit_cells, omega_limit_estimate
+from .orbit_stats import (
+    DYADIC_ORBIT_BITS,
+    birkhoff_envelope,
+    dyadic_orbit_cells,
+    omega_limit_estimate,
+    orbit_points,
+)
 
 _ROOT_TOL = 1e-13
 _VERIFY_TOL = 1e-12
@@ -82,8 +88,11 @@ class PeriodicOrbit:
     hits_critical: bool
     word: tuple[int, ...]
 
-    def mean(self, name: str) -> float:
-        return self.means[name]
+    def inside(self, intervals, slack: float) -> bool:
+        """Every point lies within ``slack`` of one of the intervals."""
+        return all(
+            any(lo - slack <= p <= hi + slack for lo, hi in intervals) for p in self.points
+        )
 
 
 @dataclass
@@ -594,8 +603,6 @@ def _cycle_attracts(pmap, cycle, r=1e-4):
 
 
 def _settled_orbit(pmap, x0, horizon):
-    from .orbit_stats import orbit_points
-
     n = min(max(horizon, 256), 20000)
     pts, truncated = orbit_points(pmap, x0, n)
     if len(pts) < 8:
@@ -626,7 +633,7 @@ def wandering_attractor_check(
     mid = 0.5 * (J[0] + J[1])
     eps_bits = max(1, round(-math.log2(eps)))
     transient = n // 2
-    if pmap.dyadic_affine:
+    if pmap.dyadic_affine and not pmap.integer_linear:  # orbit_points' dyadic engine
         omega = dyadic_orbit_cells(pmap, Fraction(mid), n, eps_bits, transient)
         gen_cells = {
             (c, side): dyadic_orbit_cells(
@@ -638,7 +645,7 @@ def wandering_attractor_check(
         omega = omega_limit_estimate(pmap, mid, transient, n, eps).cells
         gen_cells = {}
         for cf, c, side in _sides(pmap):
-            v = pmap.one_sided_limit(cf, side)
+            v = pmap.one_sided_limit_exact(cf, side)
             gen_cells[(c, side)] = omega_limit_estimate(pmap, v, 0, n, eps).cells
     sides = list(gen_cells)
     best = None
@@ -679,9 +686,6 @@ def _sides(pmap):
 class LapCount:
     counts: list[int]
     entropy: float
-
-    def lap(self, n: int) -> int:
-        return self.counts[n - 1]
 
 
 def _initial_laps(pmap: PiecewiseMap, domain=None):
@@ -884,15 +888,11 @@ def birkhoff_max_oracle(pmap: PiecewiseMap, attractor, phi: Observable, Q: int =
             (c, MINUS) for c in pmap.fcritical
         ]
         c, side = gens[0]
-        v = pmap.one_sided_limit(c, side)
-        from .orbit_stats import birkhoff_envelope
-
-        series = birkhoff_envelope(pmap, _seed_for(pmap, c, side), phi, 1 << 17)
+        series = birkhoff_envelope(pmap, pmap.one_sided_limit_exact(c, side), phi, 1 << 17)
         return OracleResult(
             float(series.averages[-1]), None, method="uniquely ergodic critical orbit"
         )
     if kind == "cycle":
-        intervals = attractor.intervals
         table = periodic_orbits(pmap, Q, [phi])
         slack = 2.0 * getattr(attractor, "eps", 1e-9) + 1e-9
         best = None
@@ -900,10 +900,7 @@ def birkhoff_max_oracle(pmap: PiecewiseMap, attractor, phi: Observable, Q: int =
         running = -math.inf
         for q in range(1, Q + 1):
             for orb in table.of_period(q):
-                if not all(
-                    any(lo - slack <= p <= hi + slack for lo, hi in intervals)
-                    for p in orb.points
-                ):
+                if not orb.inside(attractor.intervals, slack):
                     continue
                 m = orb.means[phi.name]
                 if m > running:
@@ -914,11 +911,3 @@ def birkhoff_max_oracle(pmap: PiecewiseMap, attractor, phi: Observable, Q: int =
             raise NotClassified("no periodic orbit found inside the cycle support")
         return OracleResult(running, best, trace, method="periodic means")
     raise NotClassified(f"unknown attractor kind {kind!r}")
-
-
-def _seed_for(pmap: PiecewiseMap, c: float, side: str):
-    """Exact seed for the critical-value orbit when the mapping supports it."""
-    v = pmap.one_sided_limit_exact(Fraction(c) if not hasattr(c, "denominator") else c, side)
-    if pmap.integer_linear or pmap.dyadic_affine:
-        return v
-    return float(v)

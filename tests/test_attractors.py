@@ -79,6 +79,15 @@ def test_critical_orbit_closure_logistic4(logistic4):
     assert set(gens) == {(0.5, MINUS), (0.5, PLUS)}
 
 
+def test_critical_orbit_closure_float_critical_points():
+    # zigzag3's float critical points 1/3 and 2/3 are not exact; f(1/3+) taken
+    # at the float 1/3 is 1 + 2^-54, whose exact orbit leaves [0, 1]
+    pmap = catalog.zigzag3()
+    fc = pmap.fcritical
+    est, _ = critical_orbit_closure(pmap, SignedCriticalSides(fc, fc), 5000, 2.0**-10)
+    assert list(est.cells) == [0, 1023]  # f(1/3+-) = 1 and f(2/3+-) = 0 are fixed
+
+
 def test_critical_orbit_closure_localize_consistency(bimodal_map):
     # exclude both sides of the critical point the dynamics never visits;
     # generator closures agree cell-for-cell between f and the surgery g

@@ -116,6 +116,27 @@ def test_components_pinned(name, digest):
     assert h.hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize(
+    "name, k, digest",
+    [
+        ("logistic4", 10, "1139fcc0cb19d970"),
+        ("logistic4", 12, "2f6b93c1afe5a6d7"),
+        ("bimodal_map", 10, "76ffe7d8eb530bfc"),
+        ("bimodal_map", 12, "07765f4fee7e3478"),
+        ("lorenz_map", 10, "dbb74c31e38cd4af"),
+        ("lorenz_map", 12, "e8ef25858a8486d9"),
+    ],
+)
+def test_graph_pinned(request, name, k, digest):
+    # sha256 prefix of the forward and reverse CSR and the nonwandering
+    # estimate, recorded while both adjacencies were still built per call
+    gd = grid_graph(request.getfixturevalue(name), 2.0**-k)
+    h = hashlib.sha256()
+    for a in (*gd.adjacency_csr(), *gd.reverse_csr(), nonwandering_estimate(gd)):
+        h.update(a.tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
 def test_reverse_csr_matches_edge_loop(bimodal_map):
     gd = grid_graph(bimodal_map, 2.0**-8)
     indptr, indices = gd.adjacency_csr()
@@ -125,6 +146,28 @@ def test_reverse_csr_matches_edge_loop(bimodal_map):
             preds[j].append(i)
     rptr, rind = gd.reverse_csr()
     assert [rind[rptr[j] : rptr[j + 1]].tolist() for j in range(gd.ncells)] == preds
+
+
+def test_distances_to_matches_brute_force(bimodal_map):
+    gd = grid_graph(bimodal_map, 2.0**-8)
+    succ = [gd.targets(i).tolist() for i in range(gd.ncells)]
+    # the cells of each critical point, one cell of the right half (which
+    # the left half cannot reach), and a run of cells
+    for cells in ([51, 52], [204, 205], [200], list(range(120, 136))):
+        want = [0 if i in cells else -1 for i in range(gd.ncells)]
+        level = 0
+        while True:
+            nxt = [
+                i for i in range(gd.ncells)
+                if want[i] < 0 and any(want[j] == level for j in succ[i])
+            ]
+            if not nxt:
+                break
+            level += 1
+            for i in nxt:
+                want[i] = level
+        assert gd.distances_to(cells).tolist() == want, cells
+    assert -1 in gd.distances_to([200]).tolist()
 
 
 def test_components_bimodal_disjoint(bimodal_map):

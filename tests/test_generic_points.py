@@ -11,6 +11,7 @@ from intervaldyn.generic_points import (
     NestedWitness,
     StageRecord,
     _BranchArith,
+    _ChainBuilder,
     _certify_forward,
     construct_historic_point,
     construct_max_average_point,
@@ -60,6 +61,21 @@ WITNESS_DIGESTS = {
 def test_witness_json_pinned(request, name):
     witness = request.getfixturevalue(f"{name}_witness")
     assert hashlib.sha256(witness.to_json().encode()).hexdigest() == WITNESS_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name, target, digest",
+    [
+        ("logistic4", 0.75, "23895a89f770e754"),
+        ("logistic4", 0.0, "eabc875ada583633"),
+        ("tent2", 2 / 3, "cbca7abd537b9e4f"),
+    ],
+)
+def test_steer_distances_pinned(request, name, target, digest):
+    # sha256 prefix of the grid distances that steer a connection, recorded
+    # while the chain builder ran its own backward search
+    dist = _ChainBuilder(request.getfixturevalue(name), PHI_X)._steer_distances(target)
+    assert hashlib.sha256(dist.tobytes()).hexdigest()[:16] == digest
 
 
 def test_historic_witness_logistic4(logistic4, logistic4_witness):

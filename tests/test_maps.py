@@ -37,11 +37,15 @@ def test_doubling_evaluate(doubling_map):
     assert doubling_map.evaluate(1.0) == 1.0
 
 
-def test_one_sided_limits(doubling_map, logistic4):
+def test_one_sided_limits(doubling_map, logistic4, bimodal_map, lorenz_map):
     assert doubling_map.one_sided_limit(0.5, MINUS) == 1.0
     assert doubling_map.one_sided_limit(0.5, PLUS) == 0.0
     assert logistic4.one_sided_limit(0.5, MINUS) == 1.0
     assert logistic4.one_sided_limit(0.5, PLUS) == 1.0
+    # a float critical point names the exact one, and the limit is taken there
+    assert bimodal_map.one_sided_limit(0.2, MINUS) == 0.0
+    assert bimodal_map.one_sided_limit(0.8, PLUS) == 1.0
+    assert lorenz_map.one_sided_limit(float(lorenz_map.critical[0]), PLUS) == 0.0
 
 
 def test_continuity_flags(logistic4, doubling_map, tent2, bimodal_map):

@@ -7,6 +7,7 @@ import pytest
 
 from intervaldyn import Observable, PiecewiseMap, poly_branch, catalog
 from intervaldyn.structure import (
+    PeriodicOrbit,
     birkhoff_max_oracle,
     classify_homterval,
     find_homtervals,
@@ -237,6 +238,15 @@ def test_wandering_attractor_check_lorenz(lorenz_map):
     assert match.contains_critical_cell
 
 
+def test_wandering_attractor_check_integer_linear(doubling_map, tent2):
+    # doubling and tent2 run on the exact /q engine: their orbits of J's
+    # midpoint equidistribute, and no critical-value closure matches them
+    for pmap in (doubling_map, tent2):
+        match = wandering_attractor_check(pmap, (0.3, 0.31), 4096, 2.0**-10)
+        assert not match.matched, (pmap.name, match.distance_cells, match.generators)
+        assert match.distance_cells > 2.0
+
+
 def test_lap_counts_full_maps(logistic4, tent2, doubling_map):
     for pmap in (logistic4, tent2, doubling_map):
         counts = lap_counts(pmap, 16)
@@ -299,6 +309,15 @@ def test_doubling_cover_time_exact(doubling_map):
 class _Stub:
     def __init__(self, **kw):
         self.__dict__.update(kw)
+
+
+def test_periodic_orbit_inside():
+    orb = PeriodicOrbit((0.2, 0.7), 2, 4.0, {}, False, (0, 1))
+    assert orb.inside([(0.1, 0.3), (0.6, 0.8)], 0.0)
+    assert orb.inside([(0.0, 0.2), (0.7, 1.0)], 0.0)  # closed intervals
+    assert not orb.inside([(0.0, 0.3)], 0.0)  # every point must lie inside
+    assert not orb.inside([(0.0, 0.19), (0.6, 0.8)], 0.005)
+    assert orb.inside([(0.0, 0.19), (0.6, 0.8)], 0.011)
 
 
 def test_birkhoff_oracle_periodic_like(logistic32):
