@@ -31,6 +31,7 @@ from .orbit_stats import (
     MAX_FINE_BITS,
     birkhoff_envelope,
     omega_limit_estimate,
+    orbit_points,
     statistical_omega_estimate,
     stats_csv,
 )
@@ -106,12 +107,12 @@ def _phi(spec: str) -> Observable:
 
 
 def cmd_orbit(pmap, args) -> int:
-    orb = pmap.iterate_orbit(args.x0, args.horizon)
+    pts, _ = orbit_points(pmap, args.x0, args.horizon)
     lines = ["n,x"]
-    lines += [f"{i},{x:.17g}" for i, x in enumerate(orb.points)]
+    lines += [f"{i},{x:.17g}" for i, x in enumerate(pts)]
     _write(args, "orbit.csv", "\n".join(lines) + "\n")
     if args.format in ("svg", "all"):
-        _write(args, "cobweb.svg", viz.cobweb(pmap, orb.points, _meta(args)))
+        _write(args, "cobweb.svg", viz.cobweb(pmap, pts, _meta(args)))
     return 0
 
 
@@ -246,7 +247,6 @@ def cmd_verify(pmap, args) -> int:
     notes.append(f"omega equals omega* on {agree}/8 samples at eps {eps_check:.4g}")
 
     # entropy vs classification
-    lc = lap_entropy(pmap, 20)
     has_cycle = any(c.estimate.kind == "cycle" for c in report.clusters)
     if has_cycle:
         cyc = next(c.estimate for c in report.clusters if c.estimate.kind == "cycle")
@@ -257,23 +257,26 @@ def cmd_verify(pmap, args) -> int:
         if agree < 6:
             failures.append("omega/omega* agreement below 6/8 samples")
     else:
+        lc = lap_entropy(pmap, 20)
         notes.append(f"entropy {lc.entropy:.3f} (no cycle attractor)")
         if agree < 7:
             failures.append("omega/omega* agreement below 7/8 samples")
 
-    # historic witness on continuous cycle maps
+    # historic witness on continuous cycle maps, whose targets' means must differ by gap_tol
     if has_cycle and pmap.is_continuous:
-        cyc = next(c.estimate for c in report.clusters if c.estimate.kind == "cycle")
         hi, lo = _extreme_orbits(pmap, cyc.intervals, phi, 6)
-        if hi.means[phi.name] - lo.means[phi.name] > 0.05:
+        spread, gap_tol = hi.means[phi.name] - lo.means[phi.name], 0.1
+        if spread > gap_tol:
             witness = construct_historic_point(
                 pmap, cyc.intervals, phi, hi.points, lo.points, stages=2,
                 check_transitivity=False,
             )
-            rep = verify_witness(pmap, witness, phi=phi, gap_tol=0.1)
+            rep = verify_witness(pmap, witness, phi=phi, gap_tol=gap_tol)
             if not rep.historic:
                 failures.append("historic witness failed to separate envelopes")
             notes.append(f"historic witness gap {witness.envelope_gap():.3f}")
+        else:
+            notes.append(f"no historic witness: extreme periodic means differ by {spread:.3f} <= {gap_tol}")
 
     doc = {"map": pmap.name, "failures": failures, "notes": notes}
     _write(args, "verify.json", _json_doc(args, doc))

@@ -6,15 +6,18 @@ breakpoints where the map is discontinuous or loses local injectivity;
 non-critical breakpoints (smooth joins, produced e.g. by surgery) are
 allowed and evaluation there is well defined.
 
-Orbit convention: an orbit landing within ``CRITICAL_TOL`` of a critical
-point is truncated, unless the map is continuous at every critical point,
-in which case it continues with the common one-sided value.
+Orbit convention, one rule for every float step: an orbit landing within
+``CRITICAL_TOL`` of a critical point c passes through with the exact f(c-)
+where the map is continuous at that c, and is truncated where it is not.
+Exact values (that limit, or the image of an exact 0.0 or 1.0) are kept, so
+1/2 -> 1 -> 0 stays exact; any other value that rounds onto or past 0 or 1
+(within ``RANGE_TOL``) moves to ABOVE_ZERO or BELOW_ONE, as the true orbit
+leaves a repelling endpoint; a value further out, or NaN, is degenerate.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +38,11 @@ CRITICAL_TOL = 1e-14
 
 #: Values may overshoot [0,1] by at most this much before RangeViolation.
 RANGE_TOL = 1e-9
+
+#: Least normal double and largest double below 1: where a float value that
+#: rounds onto or past the endpoint 0 or 1 is moved.
+ABOVE_ZERO = 2.0**-1022
+BELOW_ONE = 1.0 - 2.0**-53
 
 MINUS = "minus"
 PLUS = "plus"
@@ -144,12 +152,11 @@ class PiecewiseMap:
         return bisect_right(self._interior_breaks, x) if len(self.branches) > 1 else 0
 
     def nearest_critical(self, x: float) -> float | None:
-        best, dist = None, math.inf
+        """The critical point within CRITICAL_TOL of x, if any."""
         for c in self.fcritical:
-            d = abs(x - c)
-            if d < dist:
-                best, dist = c, d
-        return best if dist <= CRITICAL_TOL else None
+            if abs(x - c) <= CRITICAL_TOL:
+                return c
+        return None
 
     # -- evaluation ------------------------------------------------------------
 
@@ -161,11 +168,25 @@ class PiecewiseMap:
         if c is not None:
             raise CriticalPoint(x, c)
         y = self.branches[self.branch_index(x)].value(x)
-        if y < 0.0 or y > 1.0:
-            if y < -RANGE_TOL or y > 1.0 + RANGE_TOL:
-                raise RangeViolation(f"f({x!r}) = {y!r} leaves [0,1]")
-            y = 0.0 if y < 0.0 else 1.0
-        return y
+        z = y if 0.0 < y < 1.0 else self._off_fast_path(x, y, None)
+        if z is Termination.DEGENERATE:
+            raise RangeViolation(f"f({x!r}) = {y!r} leaves [0,1]")
+        return z
+
+    def _off_fast_path(self, x: float, y: float | None, c: float | None):
+        """The orbit convention's next point, or the Termination that ends
+        the orbit, from x at the critical point c or (c None) at y = f(x)."""
+        exact = c is not None or x == 0.0 or x == 1.0
+        if c is not None:
+            i = self.fcritical.index(c)
+            if not self.continuity[i]:
+                return Termination.CRITICAL
+            y = float(self.one_sided_limit_exact(self.critical[i], MINUS))
+        if not -RANGE_TOL <= y <= 1.0 + RANGE_TOL:  # NaN fails too
+            return Termination.DEGENERATE
+        if exact:
+            return min(max(y, 0.0), 1.0)
+        return ABOVE_ZERO if y <= 0.0 else BELOW_ONE
 
     def derivative(self, x: float) -> float:
         return self.branches[self.branch_index(x)].derivative(x)
@@ -200,21 +221,17 @@ class PiecewiseMap:
     # -- orbits ------------------------------------------------------------------
 
     def iterate_orbit(self, x0: float, n: int) -> OrbitResult:
-        """Record x0, f(x0), ..., up to n steps under the truncation convention."""
+        """Record x0, f(x0), ..., up to n steps under the orbit convention."""
+        nearest, index, branches = self.nearest_critical, self.branch_index, self.branches
         pts = np.empty(n + 1)
         pts[0] = x = float(x0)
         for k in range(n):
-            c = self.nearest_critical(x)
-            if c is None:
-                y = self.branches[self.branch_index(x)].value(x)
-            elif self.is_continuous:
-                y = self.one_sided_limit(c, MINUS)
-            else:
-                return OrbitResult(pts[: k + 1], Termination.CRITICAL, k, c)
-            if y < 0.0 or y > 1.0:
-                if y < -RANGE_TOL or y > 1.0 + RANGE_TOL or math.isnan(y):
-                    return OrbitResult(pts[: k + 1], Termination.DEGENERATE, k, None)
-                y = 0.0 if y < 0.0 else 1.0
+            c = nearest(x)
+            y = None if c is not None else branches[index(x)].value(x)
+            if y is None or not 0.0 < y < 1.0:
+                y = self._off_fast_path(x, y, c)
+                if isinstance(y, Termination):
+                    return OrbitResult(pts[: k + 1], y, k, c)
             x = y
             pts[k + 1] = x
         return OrbitResult(pts, Termination.HORIZON)

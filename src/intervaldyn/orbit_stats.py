@@ -25,7 +25,6 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .branch import BranchSpec
 from .catalog import ORBIT_PRIME
 from .cells import cell_indices, cells_of_points, ncells
 from .errors import ResolutionTooFine
-from .maps import PiecewiseMap, Termination
+from .maps import ABOVE_ZERO, BELOW_ONE, MINUS, PiecewiseMap, Termination
 from .observables import Observable
 
 #: Mantissa precision for dyadic-affine exact orbits (above the lorenz
@@ -100,32 +99,23 @@ def _linear_tables(pmap: PiecewiseMap, q: int):
 def _exact_orbit_fraction(pmap: PiecewiseMap, x0: Fraction, n: int):
     """Exact orbit of a rational seed under an integer-linear map.
 
-    Follows the truncation convention when the orbit hits a breakpoint
-    exactly: pass through continuity-flagged critical points, stop at
-    discontinuities.
+    Follows the orbit convention when the orbit hits a breakpoint exactly:
+    pass through where the map is continuous, stop at a discontinuity.
     """
-    ms, bs, _ = _linear_tables(pmap, 1)
-    crit = {c: i for i, c in enumerate(pmap.critical)}
-    den = x0.denominator
-    p = x0.numerator
+    passes = dict(zip(pmap.critical, pmap.continuity))
+    p, den = x0.numerator, x0.denominator
+    ms, bs, tq = _linear_tables(pmap, den)
     pts = np.empty(n + 1)
     pts[0] = p / den
     for k in range(n):
-        idx = 0
-        hit = None
-        for bp in pmap.breakpoints[1:-1]:
-            cmp = p * bp.denominator - bp.numerator * den
-            if cmp == 0:
-                hit = bp
-                break
-            if cmp > 0:
-                idx += 1
-        if hit is not None:
-            ci = crit.get(hit)
-            if ci is not None and not pmap.continuity[ci]:
+        idx = bisect_left(tq, p)
+        bp = pmap.breakpoints[idx + 1]
+        if idx < len(tq) and p * bp.denominator == bp.numerator * den:
+            if not passes.get(bp, True):
                 return pts[: k + 1], True
-            val = pmap.one_sided_limit_exact(hit, "minus")
+            val = pmap.one_sided_limit_exact(bp, MINUS)
             p, den = val.numerator, val.denominator
+            ms, bs, tq = _linear_tables(pmap, den)
         else:
             p = ms[idx] * p + bs[idx] * den
         pts[k + 1] = p / den
@@ -146,40 +136,29 @@ def _exact_orbit_prime(pmap: PiecewiseMap, x0: float, n: int):
     return pts
 
 
-def _dyadic_iterates(pmap: PiecewiseMap, x0: Fraction, n: int):
-    """Mantissas x_0..x_n at DYADIC_ORBIT_BITS of the truncated orbit of a
-    dyadic-affine map."""
-    coeffs, cuts = dyadic.affine_table(pmap, DYADIC_ORBIT_BITS)
-    x = dyadic.from_fraction(x0, DYADIC_ORBIT_BITS)
-    yield x
-    for _ in range(n):
-        x = dyadic.affine_point(x, coeffs[bisect_left(cuts, x)])
-        yield x
-
-
 def _dyadic_orbit(pmap: PiecewiseMap, x0: Fraction, n: int) -> np.ndarray:
-    """Truncated-mantissa orbit for dyadic-affine contracting maps."""
-    xs = _dyadic_iterates(pmap, x0, n)
-    return np.fromiter((dyadic.to_float(x, DYADIC_ORBIT_BITS) for x in xs), float, n + 1)
+    """Orbit of a dyadic-affine map on DYADIC_ORBIT_BITS mantissas, each
+    rounded down to a float."""
+    coeffs, cuts = dyadic.affine_table(pmap, DYADIC_ORBIT_BITS)
+    pts = np.empty(n + 1)
+    x = dyadic.from_fraction(x0, DYADIC_ORBIT_BITS)
+    pts[0] = dyadic.to_float(x, DYADIC_ORBIT_BITS)
+    for k in range(n):
+        x = dyadic.affine_point(x, coeffs[bisect_left(cuts, x)])
+        pts[k + 1] = dyadic.to_float(x, DYADIC_ORBIT_BITS)
+    return pts
 
 
 def dyadic_orbit_cells(
     pmap: PiecewiseMap, x0: Fraction, n: int, eps_bits: int, transient: int = 0
 ) -> np.ndarray:
-    """Exact cell indices visited by a dyadic-affine orbit over [transient, n]."""
-    nc = 1 << eps_bits
-    xs = islice(_dyadic_iterates(pmap, x0, n), transient, None)
-    cells = {min((x << eps_bits) >> DYADIC_ORBIT_BITS, nc - 1) for x in xs}
-    return np.asarray(sorted(cells), dtype=np.int64)
+    """Cells at 2^-eps_bits of a dyadic-affine orbit over [transient, n]: those of
+    its exact mantissas, as each is rounded down to a float and cell bounds are floats."""
+    return omega_limit_estimate(pmap, x0, transient, n, 2.0**-eps_bits).cells
 
 
 # ---------------------------------------------------------------------------
 # batch engine
-
-#: Largest double below 1 and least normal double: where the batch float
-#: engine moves iterates that land on the endpoints 1 and 0.
-_BELOW_ONE = 1.0 - 2.0**-53
-_ABOVE_ZERO = 2.0**-1022
 
 #: Steps per block of the batch engine: its iterates are written into one
 #: (BLOCK_STEPS, n_seeds) array and turned into cells a block at a time.
@@ -262,13 +241,12 @@ def _float_steppers(pmap: PiecewiseMap, ns: int):
 
     def advance(x, y):
         raw(x, y)
-        # exact endpoint hits absorb float orbits at repelling fixed points
-        # (true orbits re-escape): clip to [0,1] and keep the samples
-        # Lebesgue-generic by moving 0 and 1 inward.  No double lies between
-        # _BELOW_ONE and 1, so these three calls are that clip and move.
-        np.minimum(y, _BELOW_ONE, out=y)
+        # the orbit convention of maps.py for values that round onto or past
+        # 0 or 1: no double lies between BELOW_ONE and 1, so these three
+        # calls move them to BELOW_ONE and ABOVE_ZERO
+        np.minimum(y, BELOW_ONE, out=y)
         np.less_equal(y, 0.0, out=mask)
-        np.copyto(y, _ABOVE_ZERO, where=mask)
+        np.copyto(y, ABOVE_ZERO, where=mask)
 
     if len(table.coeffs) == 1:
         top, *lower = table.coeffs[0][::-1]
@@ -337,12 +315,19 @@ def batch_cells(
     without the endpoint clamp and stepped again with it only when one of
     its iterates leaves (0, 1).
 
-    Raises ResolutionTooFine, before allocating, when the masks and counts
-    would not fit in physical memory.
+    Float seeds follow the orbit convention of maps.py, as the scalar engine
+    does, except at an iterate within CRITICAL_TOL of a critical point: it
+    takes its branch's float value here, not the exact limit.
+
+    Raises, before allocating, ValueError for a seed outside (0, 1) and
+    ResolutionTooFine when the masks and counts would not fit in memory.
     """
     if not 0 <= fine_bits <= MAX_FINE_BITS:
         raise ValueError(f"fine_bits must lie in [0, {MAX_FINE_BITS}], got {fine_bits}")
     x0s = np.asarray(x0s, dtype=float)
+    outside = ~((x0s > 0.0) & (x0s < 1.0))  # NaN fails both comparisons
+    if outside.any():
+        raise ValueError(f"seeds must lie in (0, 1), got {float(x0s[outside][0])!r}")
     ns = len(x0s)
     nf = 1 << fine_bits
     need = ns * nf * (9 if want_counts else 1)  # bool masks, plus int64 counts

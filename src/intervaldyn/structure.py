@@ -24,7 +24,6 @@ from .observables import Observable
 from .orbit_stats import (
     DYADIC_ORBIT_BITS,
     birkhoff_envelope,
-    dyadic_orbit_cells,
     omega_limit_estimate,
     orbit_points,
 )
@@ -631,22 +630,11 @@ def wandering_attractor_check(
     contains a cell of the critical set.
     """
     mid = 0.5 * (J[0] + J[1])
-    eps_bits = max(1, round(-math.log2(eps)))
-    transient = n // 2
-    if pmap.dyadic_affine and not pmap.integer_linear:  # orbit_points' dyadic engine
-        omega = dyadic_orbit_cells(pmap, Fraction(mid), n, eps_bits, transient)
-        gen_cells = {
-            (c, side): dyadic_orbit_cells(
-                pmap, pmap.one_sided_limit_exact(cf, side), n, eps_bits, 0
-            )
-            for cf, c, side in _sides(pmap)
-        }
-    else:
-        omega = omega_limit_estimate(pmap, mid, transient, n, eps).cells
-        gen_cells = {}
-        for cf, c, side in _sides(pmap):
-            v = pmap.one_sided_limit_exact(cf, side)
-            gen_cells[(c, side)] = omega_limit_estimate(pmap, v, 0, n, eps).cells
+    omega = omega_limit_estimate(pmap, mid, n // 2, n, eps).cells
+    gen_cells = {
+        (c, side): omega_limit_estimate(pmap, pmap.one_sided_limit_exact(cf, side), 0, n, eps).cells
+        for cf, c, side in _sides(pmap)
+    }
     sides = list(gen_cells)
     best = None
     distances = {}

@@ -33,6 +33,17 @@ def test_orbit_command(tmp_path, spec_logistic32):
     assert (out / "cobweb.svg").read_text().startswith("<svg")
 
 
+def test_orbit_command_reads_the_exact_engine(tmp_path, spec_doubling):
+    # the float orbit of the doubling map stops on 1/2 at step 51
+    out = tmp_path / "out"
+    rc = main(
+        ["--map", spec_doubling, "--out", str(out), "--horizon", "100", "orbit", "--x0", "0.2137"]
+    )
+    assert rc == 0
+    rows = (out / "orbit.csv").read_text().splitlines()[2:]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(101))
+
+
 def test_stats_command(tmp_path, spec_logistic32):
     out = tmp_path / "s"
     rc = main(
@@ -163,6 +174,18 @@ def test_verify_command_doubling(tmp_path, monkeypatch):
     rc, path = _run_pinned(tmp_path, monkeypatch, "verify", "doubling")
     assert rc == 0
     assert json.loads(path.read_text())["failures"] == []
+
+
+def test_verify_builds_no_witness_it_cannot_pass(tmp_path):
+    # bimodal's extreme periodic means inside its cycle, 0.8667 and 0.7700,
+    # lie closer than the witness gap 0.1 that verify asks for
+    spec = tmp_path / "bimodal.map"
+    spec.write_text("family = bimodal\n")
+    out = tmp_path / "v"
+    rc = main(["--map", str(spec), "--out", str(out), "--horizon", "100000", "verify"])
+    doc = json.loads((out / "verify.json").read_text())
+    assert rc == 0 and doc["failures"] == []
+    assert any(n.startswith("no historic witness: ") for n in doc["notes"])
 
 
 def test_attractors_too_fine_for_memory(tmp_path, spec_logistic32, capsys, monkeypatch):

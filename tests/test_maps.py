@@ -10,11 +10,15 @@ from intervaldyn import (
     MINUS,
     PLUS,
     PiecewiseMap,
+    RangeViolation,
     Termination,
     poly_branch,
     power_branch,
 )
 from intervaldyn import catalog
+from intervaldyn.branch import BranchSpec
+from intervaldyn.mapspec import parse_mapspec
+from intervaldyn.orbit_stats import orbit_points
 
 
 def test_tent_evaluate(tent2):
@@ -67,6 +71,35 @@ def test_orbit_continues_through_critical(logistic4):
     orb = logistic4.iterate_orbit(0.5, 5)  # continuous map: pass-through default
     assert orb.termination is Termination.HORIZON
     assert list(orb.points) == [0.5, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_pass_through_is_decided_per_critical_point():
+    # 3x | 2-3x | 2x-1 is continuous at 1/3 and not at 2/3: the float orbit
+    # passes 1/3 onto the exact f(1/3-) = 1 and stops at 2/3, as the exact one does
+    zigzag = parse_mapspec(
+        "branch = (0, 1/3) : 0, 3 : increasing\n"
+        "branch = (1/3, 2/3) : 2, -3 : decreasing\n"
+        "branch = (2/3, 1) : -1, 2 : increasing\n"
+        "critical = 1/3, 2/3\n"
+    )
+    assert zigzag.continuity == (True, False)
+    assert zigzag.iterate_orbit(1 / 3, 3).points.tolist() == [1 / 3, 1.0, 1.0, 1.0]
+    for x0 in (Fraction(1, 3), Fraction(1, 27), Fraction(2, 9), Fraction(2, 3)):
+        orb = zigzag.iterate_orbit(float(x0), 6)
+        pts, truncated = orbit_points(zigzag, x0, 6)
+        assert orb.points.tolist() == pts.tolist()
+        assert (orb.termination is Termination.CRITICAL) == truncated
+
+
+def test_degenerate_value_ends_the_orbit(monkeypatch):
+    # a branch value that is NaN, as a fractional power of a negative phi
+    # would be, gets through neither evaluate nor iterate_orbit
+    pmap = parse_mapspec("branch = (0, 1) : 0, 1 : increasing\n")
+    monkeypatch.setattr(BranchSpec, "value", lambda self, x: float("nan"))
+    with pytest.raises(RangeViolation):
+        pmap.evaluate(0.3)
+    orb = pmap.iterate_orbit(0.3, 5)
+    assert orb.termination is Termination.DEGENERATE and orb.points.tolist() == [0.3]
 
 
 def test_doubling_period_two_orbit(doubling_map):

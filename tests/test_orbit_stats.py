@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from intervaldyn import Observable, catalog
 from intervaldyn.cells import cells_of_points
 from intervaldyn.errors import ResolutionTooFine
+from intervaldyn.maps import Termination
 from intervaldyn.mapspec import parse_mapspec
 from intervaldyn.orbit_stats import (
     batch_cells,
@@ -290,6 +292,66 @@ def test_batch_rejects_fine_bits_before_allocating(fine_bits, logistic4, tent2, 
     for pmap in (logistic4, tent2):
         with pytest.raises(ValueError, match="fine_bits"):
             batch_cells(pmap, np.array([0.3, 0.6]), 10, 5, fine_bits=fine_bits)
+
+
+@pytest.mark.parametrize("seed", [0.0, 1.0, -0.25, 1.5, math.nan])
+def test_batch_rejects_seeds_outside_the_open_interval(seed, logistic4, tent2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking the seeds")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    for pmap in (logistic4, tent2):
+        with pytest.raises(ValueError, match=r"seeds must lie in \(0, 1\)"):
+            batch_cells(pmap, np.array([0.3, seed]), 10, 5, fine_bits=8)
+
+
+def test_rounded_endpoint_moves_inward_in_both_engines(logistic4):
+    # 4x(1-x) rounds onto 1 within 2^-28 of 1/2: both engines move it to the
+    # largest double below 1, whose image is 2^-51 (1 - 2^-53), not the fixed point 0
+    x0 = 0.5 + 2.0**-30
+    orb = logistic4.iterate_orbit(x0, 4)
+    assert orb.termination is Termination.HORIZON
+    assert orb.points[1] == 1.0 - 2.0**-53
+    assert orb.points[2] == 2.0**-51 * (1.0 - 2.0**-53)
+    assert batch_cells(logistic4, np.array([x0]), 4, 1, fine_bits=8).final[0] == orb.points[-1]
+
+
+def test_rounded_endpoint_no_longer_absorbs_the_statistics(logistic4):
+    # this seed rounds onto 1 at step 843 397; sent on to the fixed point 0
+    # its average was 0.4227 and its frequency of [0, 1/2) 0.5771
+    last = stats_csv(logistic4, 0.30116040783238995, PHI_X, [(0.0, 0.5)], 10**6).splitlines()[-1]
+    n, average, _, _, freq = last.split(",")
+    assert n == "1000000"
+    assert abs(float(average) - 0.5) < 0.01 and abs(float(freq) - 0.5) < 0.01
+
+
+_SEEDS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-(2.0**-28), 2.0**-28).map(lambda d: 0.5 + d),
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    lam=st.one_of(st.just(Fraction(4)), st.fractions(3, 4, max_denominator=1000)),
+    bimodal=st.booleans(),
+    seeds=st.lists(_SEEDS, min_size=1, max_size=4),
+    n=st.integers(1, 2000),
+    data=st.data(),
+)
+def test_batch_cells_follow_the_scalar_engine(lam, bimodal, seeds, n, data):
+    pmap = catalog.bimodal() if bimodal else catalog.logistic(lam)
+    seeds = [s for s in seeds if pmap.nearest_critical(s) is None]
+    assume(seeds)
+    transient = data.draw(st.integers(1, n))
+    res = batch_cells(pmap, np.array(seeds), n, transient, fine_bits=10)
+    for i, s in enumerate(seeds):
+        orb = pmap.iterate_orbit(s, n)
+        assert orb.termination is Termination.HORIZON
+        cells = cells_of_points(orb.points[transient:], 2.0**-10)
+        assert np.array_equal(np.flatnonzero(res.window_visited[i]), cells)
+        assert res.final[i] == orb.points[-1]
 
 
 @pytest.mark.parametrize("want_counts", [False, True])
