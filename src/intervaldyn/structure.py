@@ -10,7 +10,7 @@ keeps f^q decompositions certified without naive root searching.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +23,7 @@ from .maps import PiecewiseMap, MINUS, PLUS
 from .observables import Observable
 from .orbit_stats import (
     DYADIC_ORBIT_BITS,
+    _BranchTable,
     birkhoff_envelope,
     omega_limit_estimate,
     orbit_points,
@@ -36,23 +37,27 @@ _VERIFY_TOL = 1e-12
 # branch words
 
 
+def _pull(pmap: PiecewiseMap, idx: int, dom: tuple[float, float] | None):
+    """Domain of the word (idx,) + v from the domain of v: its pullback
+    through branch idx, or None if empty."""
+    if dom is None:
+        return None
+    b = pmap.branches[idx]
+    ilo, ihi = b.interval_image(b.flo, b.fhi)
+    lo, hi = max(dom[0], ilo), min(dom[1], ihi)
+    if lo > hi:
+        return None
+    x1, x2 = b.inverse(lo), b.inverse(hi)
+    return (x2, x1) if x1 > x2 else (x1, x2)
+
+
 def word_domain(pmap: PiecewiseMap, word: tuple[int, ...]) -> tuple[float, float] | None:
     """Closed domain interval of the branch-word composition, or None if empty."""
-    b_last = pmap.branches[word[-1]]
-    lo, hi = b_last.flo, b_last.fhi
+    last = pmap.branches[word[-1]]
+    dom = (last.flo, last.fhi)
     for idx in reversed(word[:-1]):
-        b = pmap.branches[idx]
-        ilo, ihi = b.interval_image(b.flo, b.fhi)
-        lo2, hi2 = max(lo, ilo), min(hi, ihi)
-        if lo2 > hi2:
-            return None
-        x1, x2 = b.inverse(lo2), b.inverse(hi2)
-        if x1 > x2:
-            x1, x2 = x2, x1
-        lo, hi = x1, x2
-        if hi - lo < 0:
-            return None
-    return lo, hi
+        dom = _pull(pmap, idx, dom)
+    return dom
 
 
 def word_eval(pmap: PiecewiseMap, word: tuple[int, ...], x: float) -> float:
@@ -117,44 +122,72 @@ def _least_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def _roots_in_word(pmap, word, lo, hi, samples):
-    """Roots of f_word(x) - x on [lo, hi] (monotone composition)."""
-    if hi - lo < 1e-15:
-        xs = [lo]
-    else:
-        xs = np.linspace(lo, hi, samples)
-    gs = [word_eval(pmap, word, float(x)) - float(x) for x in xs]
-    flat = sum(1 for g in gs if abs(g) < 1e-13)
-    if flat >= max(6, samples - 2) and hi - lo > 1e-6:
-        raise DegenerateFamily(
-            f"f^{len(word)} fixes an interval inside [{lo:.6g},{hi:.6g}]"
-        )
-    roots = []
-    for x, g in zip(xs, gs):
-        if abs(g) <= _ROOT_TOL:
-            roots.append(float(x))
-    for (x1, g1), (x2, g2) in zip(zip(xs, gs), zip(xs[1:], gs[1:])):
-        if g1 == 0.0 or g2 == 0.0 or (g1 > 0) == (g2 > 0):
-            continue
-        a, b, ga = float(x1), float(x2), g1
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            gm = word_eval(pmap, word, mid) - mid
-            if gm == 0.0:
-                a = b = mid
-                break
-            if (gm > 0) == (ga > 0):
-                a, ga = mid, gm
-            else:
-                b = mid
-            if b - a <= 1e-15:
-                break
-        roots.append(0.5 * (a + b))
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or r - deduped[-1] > 1e-12:
-            deduped.append(r)
-    return deduped
+def _level_roots(pmap, table, words, doms, q):
+    """Roots of f_w(x) - x on the domain of each word w of one level, one
+    list per word: the samples where |f_w(x) - x| <= _ROOT_TOL, then the
+    bisected sign changes.  Each word is sampled on np.linspace's grid, 33
+    points where f_w increases and 9 where it decreases.  All samples, then
+    all brackets, are evaluated at once through the rows of ``table``.
+    """
+    letters = np.array(words, dtype=np.min_scalar_type(len(pmap.branches))).reshape(len(words), q)
+    rows = table.branch_row.astype(letters.dtype)[letters]
+    lo, hi = np.array(doms).reshape(len(words), 2).T
+    flips = np.array([b.monotonicity == "decreasing" for b in pmap.branches])
+    s = np.where(flips[letters].sum(axis=1) % 2, 9, 33)
+    s[hi - lo < 1e-15] = 1
+    ends = np.cumsum(s)
+    wid = np.repeat(np.arange(len(words), dtype=np.int32), s)
+    xs = np.arange(s.sum(), dtype=float)
+    xs -= (ends - s)[wid]
+    xs *= ((hi - lo) / np.maximum(s - 1, 1))[wid]
+    xs += lo[wid]
+    xs[ends - 1] = np.where(s > 1, hi, lo)
+    special = [(r, f) for r, f in enumerate(table.outer) if f is not None]
+
+    def g(x, w):
+        """f_w(x) - x for the words of the indices w, rounded as word_eval."""
+        y = x
+        for k in range(q):
+            row = rows[w, k]
+            acc = np.zeros_like(y)
+            for c in table.coeffs.T[::-1]:
+                acc *= y
+                acc += c[row]
+            with np.errstate(invalid="ignore"):  # NaN passes on silently, as in value()
+                for r, outer in special:
+                    acc[row == r] = outer(acc[row == r])
+            y = acc
+        return y - x
+
+    gs = np.empty_like(xs)
+    n = 1 << 14  # samples per slice, which bounds the temporaries of g
+    for i in range(0, xs.size, n):
+        gs[i : i + n] = g(xs[i : i + n], wid[i : i + n])
+    flat = np.bincount(wid[np.abs(gs) < 1e-13], minlength=len(words))
+    bad = np.flatnonzero((flat >= np.maximum(6, s - 2)) & (hi - lo > 1e-6))
+    if bad.size:
+        dlo, dhi = doms[bad[0]]
+        raise DegenerateFamily(f"f^{q} fixes an interval inside [{dlo:.6g},{dhi:.6g}]")
+    at = np.flatnonzero(np.abs(gs) <= _ROOT_TOL)
+    g1, g2 = gs[:-1], gs[1:]
+    br = np.flatnonzero((wid[:-1] == wid[1:]) & (g1 != 0.0) & (g2 != 0.0) & ((g1 > 0) != (g2 > 0)))
+    # every bracket in lockstep; each stops on an exact zero or at width 1e-15
+    a, b, ga, wb = xs[br], xs[br + 1], gs[br], wid[br]
+    live = np.arange(br.size)
+    for _ in range(80):
+        if not live.size:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        gm = g(mid, wb[live])
+        zero, same = gm == 0.0, (gm > 0) == (ga[live] > 0)
+        a[live] = np.where(zero | same, mid, a[live])
+        b[live] = np.where(zero | ~same, mid, b[live])
+        ga[live] = np.where(same, gm, ga[live])
+        live = live[~(zero | (b[live] - a[live] <= 1e-15))]
+    found: list[list[float]] = [[] for _ in words]
+    for w, x in zip(wid[at].tolist() + wb.tolist(), xs[at].tolist() + (0.5 * (a + b)).tolist()):
+        found[w].append(x)
+    return found
 
 
 def periodic_orbits(
@@ -163,25 +196,27 @@ def periodic_orbits(
     """Enumerate periodic orbits of period <= Q via branch-word root isolation.
 
     Each length-q itinerary has a monotone composition on an exact interval;
-    roots of f^q = id are isolated per word.  Orbits through the critical set
-    (domain-endpoint roots) are kept and flagged: they are the one-sided
-    periodic-like candidates.
+    roots of f^q = id are isolated per word, one level of words at a time.
+    Orbits through the critical set (domain-endpoint roots) are kept and
+    flagged: they are the one-sided periodic-like candidates.
     """
     observables = observables or []
     nb = len(pmap.branches)
+    table = _BranchTable.of(pmap)
     fix_counts: dict[int, int] = {}
     orbits: list[PeriodicOrbit] = []
-    known_points: list[tuple[float, int]] = []  # (point, period) for dedupe
-
-    words: list[tuple[tuple[int, ...], tuple[float, float]]] = [
-        ((i,), (b.flo, b.fhi)) for i, b in enumerate(pmap.branches)
-    ]
+    known_points: list[tuple[float, int]] = []  # sorted (point, period), for dedupe
+    doms = {(i,): (b.flo, b.fhi) for i, b in enumerate(pmap.branches)}
+    words = list(doms)
     for q in range(1, Q + 1):
         fix_count = 0
-        for word, (lo, hi) in words:
-            mono = word_monotonicity(pmap, word)
-            samples = 33 if mono == "increasing" else 9
-            for root in _roots_in_word(pmap, word, lo, hi, samples):
+        level = _level_roots(pmap, table, words, [doms[w] for w in words], q)
+        for word, roots in zip(words, level):
+            last = -math.inf
+            for root in sorted(roots):
+                if root - last <= 1e-12:
+                    continue  # one root, found twice
+                last = root
                 mult = abs(_word_derivative(pmap, word, root))
                 # residuals of expanding compositions are amplified by the
                 # multiplier; the root location itself is at machine precision
@@ -189,18 +224,16 @@ def periodic_orbits(
                 if err > _VERIFY_TOL * max(1.0, mult):
                     continue
                 fix_count += 1
-                if any(
-                    abs(root - p) < 1e-10 and q % d == 0 for p, d in known_points
-                ):
+                near = known_points[
+                    bisect_left(known_points, (root - 2e-10,)):
+                    bisect_right(known_points, (root + 2e-10, math.inf))
+                ]
+                if any(abs(root - p) < 1e-10 and q % d == 0 for p, d in near):
                     continue
                 pts = [root]
                 for idx in word[:-1]:
                     pts.append(pmap.branches[idx].value(pts[-1]))
-                if any(
-                    abs(a - b) < 1e-10
-                    for i, a in enumerate(pts)
-                    for b in pts[i + 1 :]
-                ):
+                if any(abs(a - b) < 1e-10 for i, a in enumerate(pts) for b in pts[i + 1 :]):
                     continue  # lower-period orbit traversed multiple times
                 hits = any(abs(p - c) < 1e-9 for p in pts for c in pmap.fcritical)
                 if not hits and word != _least_rotation(word):
@@ -209,25 +242,23 @@ def periodic_orbits(
                     # this level; its forward-propagated points can lie farther
                     # than the dedupe tolerance from this root
                     continue
-                means = {
-                    phi.name: float(np.mean([phi(p) for p in pts]))
-                    for phi in observables
-                }
-                orbits.append(
-                    PeriodicOrbit(tuple(pts), q, mult, means, hits, word)
-                )
+                means = {phi.name: float(np.mean([phi(p) for p in pts])) for phi in observables}
+                orbits.append(PeriodicOrbit(tuple(pts), q, mult, means, hits, word))
                 for p in pts:
-                    known_points.append((p, q))
+                    if not math.isnan(p):  # NaN is near no root, and unsortable
+                        insort(known_points, (p, q))
         fix_counts[q] = fix_count
         if q < Q:
-            nxt = []
-            for word, _ in words:
+            # w + (i,) pulls back the domain of its suffix, found among this
+            # level's candidates unless w[1:] was too thin to keep
+            nxt = {}
+            for w in words:
                 for i in range(nb):
-                    w2 = word + (i,)
-                    dom = word_domain(pmap, w2)
-                    if dom is not None and dom[1] - dom[0] > 1e-14:
-                        nxt.append((w2, dom))
-            words = nxt
+                    v = w[1:] + (i,)
+                    dom = doms[v] if v in doms else word_domain(pmap, v)
+                    nxt[w + (i,)] = _pull(pmap, w[0], dom)
+            doms = nxt
+            words = [w for w, d in doms.items() if d is not None and d[1] - d[0] > 1e-14]
     return PeriodicOrbitTable(Q, orbits, fix_counts)
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intervaldyn import Observable, PiecewiseMap, poly_branch, catalog
+from intervaldyn import Observable, PiecewiseMap, poly_branch, catalog, structure
+from intervaldyn.errors import DegenerateFamily
+from intervaldyn.mapspec import parse_mapspec
 from intervaldyn.structure import (
     PeriodicOrbit,
     birkhoff_max_oracle,
@@ -87,6 +89,70 @@ def test_periodic_orbit_table_pinned(name, digest):
     pmap = catalog.bimodal() if name == "bimodal" else catalog.standard_catalog()[name]
     csv = periodic_orbits(pmap, 8, [PHI_X]).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest()[:12] == digest
+
+
+# f(x) = 1 - (1-2x)^2, logistic4 spelt as a power composite: its words run
+# through the element-wise power of the branch table
+SQUARE_SPEC = (
+    "branch = (0, 1/2) : 1, -2 : increasing : exp=2, offset=1, sign=-1\n"
+    "branch = (1/2, 1) : 1, -2 : decreasing : exp=2, offset=1, sign=-1\n"
+    "critical = 1/2\n"
+)
+DEEP_TABLE_MAPS = {
+    "logistic4": lambda: catalog.logistic(4),
+    "zigzag3": catalog.zigzag3,
+    "tent2": lambda: catalog.tent(2),
+    "square": lambda: parse_mapspec(SQUARE_SPEC),
+}
+
+
+@pytest.mark.parametrize(
+    "name, Q, digest, laps",
+    [
+        ("logistic4", 12, "ff3256362e1a", 2),
+        ("zigzag3", 8, "10a55efc0872", 3),
+        ("tent2", 8, "80c6e9585e83", 2),
+        ("square", 8, "d5691444a609", 2),
+    ],
+)
+def test_periodic_orbit_table_and_counts_pinned(name, Q, digest, laps):
+    # sha256 prefixes of to_csv(); every word of these full-branch maps has
+    # one fixed point, so f^q has laps**q of them
+    table = periodic_orbits(DEEP_TABLE_MAPS[name](), Q, [PHI_X])
+    assert hashlib.sha256(table.to_csv().encode()).hexdigest()[:12] == digest
+    assert table.fix_counts == {q: laps**q for q in range(1, Q + 1)}
+
+
+def test_periodic_orbits_thin_suffix_pinned(monkeypatch):
+    # the word (1, 0) pulls [0, 1e-15] back to a domain too thin to keep, and
+    # the contraction of branch 2 widens it again in (2, 1, 0), so the domain
+    # of (2, 1, 0, i) needs the domain of a suffix that no level kept
+    d, h = Fraction(1, 10**15), Fraction(1, 2)
+    pmap = PiecewiseMap(
+        [
+            poly_branch(0, d, (0, 1 / d), "increasing"),
+            poly_branch(d, h, (-d / (h - d), 1 / (h - d)), "increasing"),
+            poly_branch(h, 1, (-h / 100, Fraction(1, 100)), "increasing"),
+        ],
+        critical=[d, h],
+    )
+    thin = []
+    monkeypatch.setattr(
+        structure, "word_domain", lambda p, w: thin.append(w) or word_domain(p, w)
+    )
+    table = periodic_orbits(pmap, 6, [PHI_X])
+    assert (1, 0, 0) in thin
+    # sha256 prefix of to_csv(), recorded from the word-by-word pass
+    assert hashlib.sha256(table.to_csv().encode()).hexdigest()[:12] == "069df636c793"
+    assert table.fix_counts == {1: 2, 2: 2, 3: 4, 4: 7, 5: 11, 6: 1}
+
+
+def test_periodic_orbits_flags_a_fixed_interval():
+    # 1 - x is an involution: f^2 is the identity on the whole of [0, 1]
+    flip = PiecewiseMap([poly_branch(0, 1, (1, -1), "decreasing")], critical=[])
+    with pytest.raises(DegenerateFamily) as info:
+        periodic_orbits(flip, 2)
+    assert str(info.value) == "f^2 fixes an interval inside [-0,1]"
 
 
 def test_periodic_orbit_verification_invariants(logistic4):
