@@ -258,21 +258,22 @@ def classify_attractor(
     )
 
 
-def _probe_cycle(pmap, cells, eps, settle=4096, max_period=MAX_PERIOD_CELLS, tol=1e-9):
-    """Settle from support-cell midpoints and detect a short cycle."""
+def _probe_cycle(pmap, cells, eps):
+    """Settle 4096 steps from support-cell midpoints and detect a short cycle."""
+    settle = 4096
     for idx in (len(cells) // 2, 0, len(cells) - 1):
         x = (float(cells[idx]) + 0.5) * eps
-        pts, truncated = orbit_points(pmap, x, settle + 4 * max_period)
+        pts, _ = orbit_points(pmap, x, settle + 4 * MAX_PERIOD_CELLS)
         if len(pts) < settle:
             continue
         tail = pts[settle:]
-        for q in range(1, max_period + 1):
+        for q in range(1, MAX_PERIOD_CELLS + 1):
             if len(tail) <= q:
                 break
-            if abs(tail[q] - tail[0]) < tol:
+            if abs(tail[q] - tail[0]) < 1e-9:
                 cycle = tuple(float(t) for t in tail[:q])
                 if all(
-                    abs(tail[j + q] - tail[j]) < 10 * tol
+                    abs(tail[j + q] - tail[j]) < 1e-8
                     for j in range(min(q, len(tail) - q))
                 ):
                     return cycle

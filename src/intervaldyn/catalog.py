@@ -189,14 +189,14 @@ def _superstable(k: int, lo: float, hi: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def feigenbaum_lambda(depth: int = 13) -> float:
+def feigenbaum_lambda() -> float:
     """Accumulation parameter of the logistic period-doubling cascade.
 
     Bisects the superstable parameters lambda_k for periods 2^k up to
-    2^depth and extrapolates the geometric tail; accurate to ~1e-10.
+    2^13 and extrapolates the geometric tail; accurate to ~1e-10.
     """
     lams = [2.0, 1.0 + math.sqrt(5.0)]
-    for k in range(2, depth + 1):
+    for k in range(2, 14):
         d = lams[-1] - lams[-2]
         guess = lams[-1] + d / 4.669201609
         lams.append(_superstable(k, lams[-1] + d / 40.0, guess + d / 3.0))

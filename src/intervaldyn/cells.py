@@ -20,14 +20,14 @@ def cell_of(x: float, eps: float) -> int:
     return min(max(int(x / eps), 0), n - 1)
 
 
-def cells_containing(x: float, eps: float, tol: float = 1e-12) -> list[int]:
-    """All cells whose closed range contains x (two when x sits on a boundary)."""
+def cells_containing(x: float, eps: float) -> list[int]:
+    """All cells whose closed range contains x up to 1e-12 (two on a boundary)."""
     n = ncells(eps)
     base = cell_of(x, eps)
     out = {base}
-    if abs(x - base * eps) <= tol and base > 0:
+    if abs(x - base * eps) <= 1e-12 and base > 0:
         out.add(base - 1)
-    if abs(x - (base + 1) * eps) <= tol and base + 1 < n:
+    if abs(x - (base + 1) * eps) <= 1e-12 and base + 1 < n:
         out.add(base + 1)
     return sorted(out)
 

@@ -90,16 +90,48 @@ def _eps(text: str) -> float:
     return eps
 
 
+def _at_least(least: int):
+    """An argparse type: an integer of at least ``least``."""
+
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"{text} is less than {least}")
+        return int(text)
+
+    return count
+
+
+def _interval(text: str, unit: bool = False) -> str:
+    """``lo:hi`` with lo < hi, inside [0, 1] if ``unit``; returned as given,
+    which keeps the configuration hash of a valid command."""
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text} is not lo:hi") from None
+    if not (0.0 <= lo < hi <= 1.0 if unit else lo < hi):
+        raise argparse.ArgumentTypeError(f"{text} is not an interval{' inside [0, 1]' * unit}")
+    return text
+
+
 def _phi(spec: str) -> Observable:
     kind, _, rest = spec.partition(":")
     if kind == "poly":
         return Observable.poly([c.strip() for c in rest.split(",")])
     if kind == "pwl":
-        xs_s, ys_s = rest.split(";")
+        xs_s, _, ys_s = rest.partition(";")
         xs = [v.strip() for v in xs_s.split(",")]
         ys = [v.strip() for v in ys_s.split(",")]
         return Observable.piecewise_linear(xs, ys)
     raise MapSpecError(f"bad observable spec {spec!r}")
+
+
+def _phi_spec(text: str) -> str:
+    """``poly:c0,c1,...`` or ``pwl:x0,x1,...;y0,y1,...``, returned as given."""
+    try:
+        _phi(text)
+    except (MapSpecError, ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an observable: {exc}") from None
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=os.environ.get("INTERVALDYN_OUT", "out"))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--eps", type=_eps, default=2.0**-12)
-    ap.add_argument("--horizon", type=int, default=1_000_000)
+    ap.add_argument("--horizon", type=_at_least(1), default=1_000_000)
     ap.add_argument("--format", choices=["csv", "json", "svg", "all"], default="all")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -307,28 +339,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats")
     p.add_argument("--x0", type=_unit_float, default=0.2137)
-    p.add_argument("--phi", default="poly:0,1")
-    p.add_argument("--window", default="0:0.5", help="V interval lo:hi")
+    p.add_argument("--phi", type=_phi_spec, default="poly:0,1")
+    p.add_argument("--window", type=_interval, default="0:0.5", help="V interval lo:hi")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("attractors")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(1), default=200)
     p.set_defaults(func=cmd_attractors)
 
     p = sub.add_parser("returnmap")
-    p.add_argument("--interval", default="0:0.5")
+    p.add_argument("--interval", type=lambda t: _interval(t, unit=True), default="0:0.5")
     p.set_defaults(func=cmd_returnmap)
 
     p = sub.add_parser("entropy")
-    p.add_argument("--nmax", type=int, default=24)
+    p.add_argument("--nmax", type=_at_least(8), default=24)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("decompose")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("historic")
-    p.add_argument("--phi", default="poly:0,1")
-    p.add_argument("--stages", type=int, default=2)
+    p.add_argument("--phi", type=_phi_spec, default="poly:0,1")
+    p.add_argument("--stages", type=_at_least(0), default=2)
     p.set_defaults(func=cmd_historic)
 
     p = sub.add_parser("verify")

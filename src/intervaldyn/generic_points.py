@@ -300,10 +300,11 @@ class _ChainBuilder:
         self.lo = dyadic.from_fraction(Fraction(max(x - w, 0.0)), self.p)
         self.hi = dyadic.from_fraction(Fraction(min(x + w, 1.0)), self.p, round_up=True)
 
-    def connect(self, target: float, r: float, budget: int = CONN_BUDGET) -> int:
-        """Expand and steer until the chain interval covers B(target, r)."""
+    def connect(self, target: float, r: float) -> int:
+        """Expand and steer, for at most CONN_BUDGET steps, until the chain
+        interval covers B(target, r)."""
         dist = self._steer_distances(target)
-        for k in range(budget):
+        for k in range(CONN_BUDGET):
             self._ensure_precision()
             ball = self._ball(target, r)
             if self.lo <= ball[0] and self.hi >= ball[1]:
@@ -339,7 +340,7 @@ class _ChainBuilder:
                     raise ShadowingFailed("interval pinned on a breakpoint")
             self._advance(idx)
         raise ShadowingFailed(
-            f"connection to {target:.6g} not found within {budget} steps"
+            f"connection to {target:.6g} not found within {CONN_BUDGET} steps"
         )
 
     def _steer_distances(self, target: float) -> np.ndarray:

@@ -26,6 +26,8 @@ class Observable:
             self._fd = tuple(float(c) for c in poly_derive(self.coeffs))
         elif kind == "pwl":
             xs, ys = data
+            if len(xs) != len(ys):
+                raise ValueError(f"{len(xs)} piecewise-linear nodes but {len(ys)} values")
             if list(xs) != sorted(xs) or xs[0] != 0 or xs[-1] != 1:
                 raise ValueError("piecewise-linear nodes must increase from 0 to 1")
             self.xs = tuple(as_fraction(x) for x in xs)

@@ -72,10 +72,11 @@ def orbit_points(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
 
 
 def _compute_orbit(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
-    if isinstance(x0, Fraction) and pmap.integer_linear:
-        return _exact_orbit_fraction(pmap, x0, n)
     if pmap.integer_linear:
-        return _exact_orbit_prime(pmap, float(x0), n), False
+        if not isinstance(x0, Fraction):
+            q = ORBIT_PRIME  # the seed moves to the nearest p/q in (0, 1), as in batch_cells
+            x0 = Fraction(min(max(round(float(x0) * q), 1), q - 1), q)
+        return _exact_orbit(pmap, x0, n)
     if pmap.dyadic_affine:
         x0 = x0 if isinstance(x0, Fraction) else Fraction(float(x0))
         return _dyadic_orbit(pmap, x0, n), False
@@ -84,56 +85,46 @@ def _compute_orbit(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
 
 
 def _linear_tables(pmap: PiecewiseMap, q: int):
-    """Slopes, intercepts and scaled thresholds of an integer-linear map.
+    """Slopes ms, scaled intercepts bq = q b, scaled thresholds and exact hits
+    of an integer-linear map on the points p/q.
 
-    tq[i] = floor(q t_i) for the interior breakpoints t_i, so an integer p
-    has p > tq[i] exactly when p/q lies right of t_i, and p/q lies in
-    branch ``bisect_left(tq, p)``.
+    tq[i] = floor(q t_i) for the interior breakpoints t_i, so p/q lies in
+    branch ``idx = bisect_left(tq, p)``, which sends p to ms[idx] p + bq[idx].
+    hits[i] = q t_i where that is an integer and -1 otherwise, with a -1 after
+    the last, so p/q is the breakpoint right of it exactly when p == hits[idx].
     """
     ms = [int(b.coeffs[1]) for b in pmap.branches]
-    bs = [int(b.coeffs[0]) for b in pmap.branches]
-    tq = [t.numerator * q // t.denominator for t in pmap.breakpoints[1:-1]]
-    return ms, bs, tq
+    bq = [int(b.coeffs[0]) * q for b in pmap.branches]
+    cuts = pmap.breakpoints[1:-1]
+    tq = [t.numerator * q // t.denominator for t in cuts]
+    hits = [p if q % t.denominator == 0 else -1 for p, t in zip(tq, cuts)] + [-1]
+    return ms, bq, tq, hits
 
 
-def _exact_orbit_fraction(pmap: PiecewiseMap, x0: Fraction, n: int):
-    """Exact orbit of a rational seed under an integer-linear map.
+def _exact_orbit(pmap: PiecewiseMap, x0: Fraction, n: int):
+    """Exact orbit of a rational seed p/q under an integer-linear map.
 
     Follows the orbit convention when the orbit hits a breakpoint exactly:
     pass through where the map is continuous, stop at a discontinuity.
     """
     passes = dict(zip(pmap.critical, pmap.continuity))
-    p, den = x0.numerator, x0.denominator
-    ms, bs, tq = _linear_tables(pmap, den)
-    pts = np.empty(n + 1)
-    pts[0] = p / den
-    for k in range(n):
-        idx = bisect_left(tq, p)
-        bp = pmap.breakpoints[idx + 1]
-        if idx < len(tq) and p * bp.denominator == bp.numerator * den:
-            if not passes.get(bp, True):
-                return pts[: k + 1], True
-            val = pmap.one_sided_limit_exact(bp, MINUS)
-            p, den = val.numerator, val.denominator
-            ms, bs, tq = _linear_tables(pmap, den)
-        else:
-            p = ms[idx] * p + bs[idx] * den
-        pts[k + 1] = p / den
-    return pts, False
-
-
-def _exact_orbit_prime(pmap: PiecewiseMap, x0: float, n: int):
-    """Exact /q orbit of the nearest q-rational to a float seed, q = ORBIT_PRIME."""
-    q = ORBIT_PRIME
-    ms, bs, tq = _linear_tables(pmap, q)
-    p = min(max(int(round(x0 * q)), 1), q - 1)
+    p, q = x0.numerator, x0.denominator
+    ms, bq, tq, hits = _linear_tables(pmap, q)
     pts = np.empty(n + 1)
     pts[0] = p / q
     for k in range(n):
         idx = bisect_left(tq, p)
-        p = ms[idx] * p + bs[idx] * q
+        if p == hits[idx]:
+            bp = pmap.breakpoints[idx + 1]
+            if not passes.get(bp, True):
+                return pts[: k + 1], True
+            val = pmap.one_sided_limit_exact(bp, MINUS)
+            p, q = val.numerator, val.denominator
+            ms, bq, tq, hits = _linear_tables(pmap, q)
+        else:
+            p = ms[idx] * p + bq[idx]
         pts[k + 1] = p / q
-    return pts
+    return pts, False
 
 
 def _dyadic_orbit(pmap: PiecewiseMap, x0: Fraction, n: int) -> np.ndarray:
@@ -149,12 +140,10 @@ def _dyadic_orbit(pmap: PiecewiseMap, x0: Fraction, n: int) -> np.ndarray:
     return pts
 
 
-def dyadic_orbit_cells(
-    pmap: PiecewiseMap, x0: Fraction, n: int, eps_bits: int, transient: int = 0
-) -> np.ndarray:
-    """Cells at 2^-eps_bits of a dyadic-affine orbit over [transient, n]: those of
-    its exact mantissas, as each is rounded down to a float and cell bounds are floats."""
-    return omega_limit_estimate(pmap, x0, transient, n, 2.0**-eps_bits).cells
+def dyadic_orbit_cells(pmap: PiecewiseMap, x0: Fraction, n: int, eps_bits: int) -> np.ndarray:
+    """Cells at 2^-eps_bits of a dyadic-affine orbit over [0, n]: those of its
+    exact mantissas, as each is rounded down to a float and cell bounds are floats."""
+    return omega_limit_estimate(pmap, x0, 0, n, 2.0**-eps_bits).cells
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +168,6 @@ class BatchCells:
     final: np.ndarray
     n: int
     transient: int
-
-    @property
-    def eps(self) -> float:
-        return 2.0 ** -self.fine_bits
 
 
 @dataclass(frozen=True)
@@ -220,6 +205,46 @@ class _BranchTable:
             tuple(_vector_outer(b) for b in reps),
         )
 
+    def stepper(self):
+        """``step(x, out, idx=None)``: out = f(x) in place, rounded as
+        ``BranchSpec.value`` up to the sign of a zero.  ``idx`` is each x's
+        branch, looked up when None; a one-row table needs neither."""
+        if len(self.coeffs) == 1:
+            top, *lower = self.coeffs[0][::-1]
+            outer = self.outer[0]
+
+            def step(x, out, idx=None):
+                np.multiply(x, top, out=out)
+                for k, c in enumerate(lower):
+                    if k:
+                        np.multiply(out, x, out=out)
+                    if c:  # adding 0.0 only turns -0.0 into 0.0, which no later step tells apart
+                        np.add(out, c, out=out)
+                if outer is not None:
+                    out[:] = outer(out)
+
+            return step
+
+        top, *lower = [np.ascontiguousarray(col) for col in self.coeffs[self.branch_row].T[::-1]]
+        breaks, branch_row = self.breaks, self.branch_row
+        special = [(r, f) for r, f in enumerate(self.outer) if f is not None]
+
+        def step(x, out, idx=None):
+            if idx is None:
+                idx = breaks.searchsorted(x, "left")
+            np.multiply(top[idx], x, out=out)
+            for k, col in enumerate(lower):
+                if k:
+                    np.multiply(out, x, out=out)
+                np.add(out, col[idx], out=out)
+            if special:
+                row = branch_row[idx]
+                for r, f in special:
+                    m = row == r
+                    out[m] = f(out[m])
+
+        return step
+
 
 def _vector_outer(b: BranchSpec):
     """Vectorised ``offset + sign * phi**exponent`` of a branch, or None for phi itself."""
@@ -227,75 +252,11 @@ def _vector_outer(b: BranchSpec):
         # element by element through the scalar's own power, which numpy's
         # vectorised power does not reproduce bit for bit
         power = np.frompyfunc(b.power_value, 1, 1)
-        return lambda phi: power(phi).astype(float)
+        # a NaN passes on silently, as in value()
+        return np.errstate(invalid="ignore")(lambda phi: power(phi).astype(float))
     if b.foffset == 0.0 and b.sign == 1:
         return None
     return lambda phi: b.foffset + b.sign * phi
-
-
-def _float_steppers(pmap: PiecewiseMap, ns: int):
-    """``(raw, advance)`` for a float state row, in place: ``raw(x, y)`` sets
-    y = f(x); ``advance(x, y)`` does so and then clamps y into (0, 1)."""
-    table = _BranchTable.of(pmap)
-    mask = np.empty(ns, dtype=bool)
-
-    def advance(x, y):
-        raw(x, y)
-        # the orbit convention of maps.py for values that round onto or past
-        # 0 or 1: no double lies between BELOW_ONE and 1, so these three
-        # calls move them to BELOW_ONE and ABOVE_ZERO
-        np.minimum(y, BELOW_ONE, out=y)
-        np.less_equal(y, 0.0, out=mask)
-        np.copyto(y, ABOVE_ZERO, where=mask)
-
-    if len(table.coeffs) == 1:
-        top, *lower = table.coeffs[0][::-1]
-        outer = table.outer[0]
-
-        def raw(x, y):
-            np.multiply(x, top, out=y)
-            for k, c in enumerate(lower):
-                if k:
-                    np.multiply(y, x, out=y)
-                if c:  # adding 0.0 only turns -0.0 into 0.0, which no later step tells apart
-                    np.add(y, c, out=y)
-            if outer is not None:
-                y[:] = outer(y)
-
-        return raw, advance
-
-    top, *lower = [np.ascontiguousarray(col) for col in table.coeffs[table.branch_row].T[::-1]]
-    special = [(r, f) for r, f in enumerate(table.outer) if f is not None]
-
-    def raw(x, y):
-        idx = table.breaks.searchsorted(x, "left")
-        np.multiply(top[idx], x, out=y)
-        for k, col in enumerate(lower):
-            if k:
-                np.multiply(y, x, out=y)
-            np.add(y, col[idx], out=y)
-        if special:
-            row = table.branch_row[idx]
-            for r, f in special:
-                m = row == r
-                y[m] = f(y[m])
-
-    return raw, advance
-
-
-def _exact_stepper(pmap: PiecewiseMap, q: int):
-    """``advance(p, p')``: p' = q f(p/q) for an integer-linear map, in place."""
-    ms, bs, tq = _linear_tables(pmap, q)
-    tq = np.asarray(tq, dtype=np.int64)
-    ms_a = np.asarray(ms, dtype=np.int64)
-    bs_a = np.asarray(bs, dtype=np.int64) * q
-
-    def advance(p, out):
-        idx = tq.searchsorted(p, "left")  # p > tq[i]  <=>  x > threshold_i
-        np.multiply(ms_a[idx], p, out=out)
-        np.add(out, bs_a[idx], out=out)
-
-    return advance
 
 
 def batch_cells(
@@ -349,10 +310,16 @@ def batch_cells(
     states = np.empty((block + 1, ns), dtype=np.int64 if exact else float)
     if exact:
         states[0] = np.clip(np.round(x0s * q).astype(np.int64), 1, q - 1)
-        raw = _exact_stepper(pmap, q)
+        ms, bq, tq = (np.asarray(t, dtype=np.int64) for t in _linear_tables(pmap, q)[:3])
+
+        def raw(p, out):  # out = q f(p/q), in place
+            idx = tq.searchsorted(p, "left")  # p > tq[i]  <=>  x > threshold_i
+            np.multiply(ms[idx], p, out=out)
+            np.add(out, bq[idx], out=out)
     else:
         states[0] = x0s
-        raw, advance = _float_steppers(pmap, ns)
+        raw = _BranchTable.of(pmap).stepper()
+        mask = np.empty(ns, dtype=bool)
     rows = list(states)
     cells = np.empty((block, ns), dtype=np.int64)
 
@@ -370,8 +337,14 @@ def batch_cells(
             # of them; otherwise (an endpoint hit, an overshoot, or a NaN,
             # which fails both comparisons) the block is stepped again with it
             if not (iterates.max() < 1.0 and iterates.min() > 0.0):
-                for j in range(size):
-                    advance(rows[j], rows[j + 1])
+                for x, y in zip(rows[:size], rows[1 : size + 1]):
+                    raw(x, y)
+                    # the orbit convention of maps.py for values that round onto
+                    # or past 0 or 1: no double lies between BELOW_ONE and 1, so
+                    # these three calls move them to BELOW_ONE and ABOVE_ZERO
+                    np.minimum(y, BELOW_ONE, out=y)
+                    np.less_equal(y, 0.0, out=mask)
+                    np.copyto(y, ABOVE_ZERO, where=mask)
             np.multiply(iterates, nf, out=ev, casting="unsafe")
             np.minimum(ev, nf - 1, out=ev)
         ev += offsets

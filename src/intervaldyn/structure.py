@@ -71,14 +71,6 @@ def word_monotonicity(pmap: PiecewiseMap, word: tuple[int, ...]) -> str:
     return "decreasing" if flips % 2 else "increasing"
 
 
-def _word_derivative(pmap: PiecewiseMap, word: tuple[int, ...], x: float) -> float:
-    d = 1.0
-    for idx in word:
-        d *= pmap.branches[idx].derivative(x)
-        x = pmap.branches[idx].value(x)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # periodic orbits
 
@@ -122,15 +114,14 @@ def _least_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def _level_roots(pmap, table, words, doms, q):
+def _level_roots(pmap, step, words, doms, q):
     """Roots of f_w(x) - x on the domain of each word w of one level, one
     list per word: the samples where |f_w(x) - x| <= _ROOT_TOL, then the
     bisected sign changes.  Each word is sampled on np.linspace's grid, 33
     points where f_w increases and 9 where it decreases.  All samples, then
-    all brackets, are evaluated at once through the rows of ``table``.
+    all brackets, are evaluated at once by ``step``, letter by letter.
     """
     letters = np.array(words, dtype=np.min_scalar_type(len(pmap.branches))).reshape(len(words), q)
-    rows = table.branch_row.astype(letters.dtype)[letters]
     lo, hi = np.array(doms).reshape(len(words), 2).T
     flips = np.array([b.monotonicity == "decreasing" for b in pmap.branches])
     s = np.where(flips[letters].sum(axis=1) % 2, 9, 33)
@@ -142,21 +133,13 @@ def _level_roots(pmap, table, words, doms, q):
     xs *= ((hi - lo) / np.maximum(s - 1, 1))[wid]
     xs += lo[wid]
     xs[ends - 1] = np.where(s > 1, hi, lo)
-    special = [(r, f) for r, f in enumerate(table.outer) if f is not None]
 
     def g(x, w):
         """f_w(x) - x for the words of the indices w, rounded as word_eval."""
-        y = x
+        y, spare = x.copy(), np.empty_like(x)
         for k in range(q):
-            row = rows[w, k]
-            acc = np.zeros_like(y)
-            for c in table.coeffs.T[::-1]:
-                acc *= y
-                acc += c[row]
-            with np.errstate(invalid="ignore"):  # NaN passes on silently, as in value()
-                for r, outer in special:
-                    acc[row == r] = outer(acc[row == r])
-            y = acc
+            step(y, spare, letters[w, k])
+            y, spare = spare, y
         return y - x
 
     gs = np.empty_like(xs)
@@ -202,7 +185,7 @@ def periodic_orbits(
     """
     observables = observables or []
     nb = len(pmap.branches)
-    table = _BranchTable.of(pmap)
+    step = _BranchTable.of(pmap).stepper()
     fix_counts: dict[int, int] = {}
     orbits: list[PeriodicOrbit] = []
     known_points: list[tuple[float, int]] = []  # sorted (point, period), for dedupe
@@ -210,18 +193,24 @@ def periodic_orbits(
     words = list(doms)
     for q in range(1, Q + 1):
         fix_count = 0
-        level = _level_roots(pmap, table, words, [doms[w] for w in words], q)
+        level = _level_roots(pmap, step, words, [doms[w] for w in words], q)
         for word, roots in zip(words, level):
             last = -math.inf
             for root in sorted(roots):
                 if root - last <= 1e-12:
                     continue  # one root, found twice
                 last = root
-                mult = abs(_word_derivative(pmap, word, root))
+                pts, d, x = [], 1.0, root  # the orbit points, multiplier and f_w(root)
+                for idx in word:
+                    b = pmap.branches[idx]
+                    pts.append(x)
+                    d *= b.derivative(x)
+                    x = b.value(x)
+                mult = abs(d)
                 # residuals of expanding compositions are amplified by the
-                # multiplier; the root location itself is at machine precision
-                err = abs(word_eval(pmap, word, root) - root)
-                if err > _VERIFY_TOL * max(1.0, mult):
+                # multiplier; the root location itself is at machine precision.
+                # A NaN residual (a point rounded out of a power branch) fails.
+                if not abs(x - root) <= _VERIFY_TOL * max(1.0, mult):
                     continue
                 fix_count += 1
                 near = known_points[
@@ -230,9 +219,6 @@ def periodic_orbits(
                 ]
                 if any(abs(root - p) < 1e-10 and q % d == 0 for p, d in near):
                     continue
-                pts = [root]
-                for idx in word[:-1]:
-                    pts.append(pmap.branches[idx].value(pts[-1]))
                 if any(abs(a - b) < 1e-10 for i, a in enumerate(pts) for b in pts[i + 1 :]):
                     continue  # lower-period orbit traversed multiple times
                 hits = any(abs(p - c) < 1e-9 for p in pts for c in pmap.fcritical)
@@ -245,8 +231,7 @@ def periodic_orbits(
                 means = {phi.name: float(np.mean([phi(p) for p in pts])) for phi in observables}
                 orbits.append(PeriodicOrbit(tuple(pts), q, mult, means, hits, word))
                 for p in pts:
-                    if not math.isnan(p):  # NaN is near no root, and unsortable
-                        insort(known_points, (p, q))
+                    insort(known_points, (p, q))
         fix_counts[q] = fix_count
         if q < Q:
             # w + (i,) pulls back the domain of its suffix, found among this
@@ -533,22 +518,17 @@ def _interval_orbit(pmap: PiecewiseMap, lo: float, hi: float, n: int):
     return out, True
 
 
-def classify_homterval(
-    pmap: PiecewiseMap,
-    J: tuple[float, float],
-    horizon: int,
-    periodic_attractors: list | None = None,
-) -> HomtervalVerdict:
+def classify_homterval(pmap: PiecewiseMap, J: tuple[float, float], horizon: int) -> HomtervalVerdict:
     """Wandering / basin-of-periodic-like / undecided, at the given horizon.
 
-    Basin: the midpoint orbit converges to a periodic-like attractor
-    (detected ones if supplied, otherwise a settle-and-cycle probe).
+    Basin: the midpoint orbit converges to a periodic-like attractor, found
+    by a settle-and-cycle probe.
     Wandering: all pairwise image intersections f^j(J) cap f^k(J) empty up
     to the horizon and no convergence was detected.
     """
     lo, hi = float(J[0]), float(J[1])
     mid = 0.5 * (lo + hi)
-    cycle = _convergent_cycle(pmap, mid, horizon, periodic_attractors)
+    cycle = _convergent_cycle(pmap, mid, horizon)
     if cycle is not None:
         return HomtervalVerdict((lo, hi), "basin", horizon, f"converges to {cycle}")
     orbit = _dyadic_interval_orbit if pmap.dyadic_affine else _interval_orbit
@@ -587,15 +567,9 @@ def _dyadic_interval_orbit(pmap: PiecewiseMap, lo: float, hi: float, n: int):
     return out, True
 
 
-def _convergent_cycle(pmap, x0, horizon, periodic_attractors, tol=1e-7):
-    pts, truncated = _settled_orbit(pmap, x0, horizon)
-    if pts is None:
-        return None
-    if periodic_attractors:
-        for att in periodic_attractors:
-            target = np.asarray(att.points if hasattr(att, "points") else att)
-            if min(abs(float(pts[-1]) - t) for t in target) < tol:
-                return tuple(round(float(t), 9) for t in target)
+def _convergent_cycle(pmap, x0, horizon):
+    pts, _ = orbit_points(pmap, x0, min(max(horizon, 256), 20000))
+    if len(pts) < 8:
         return None
     for q in range(1, 65):
         if len(pts) <= 2 * q or abs(pts[-1] - pts[-1 - q]) >= 1e-9:
@@ -606,38 +580,24 @@ def _convergent_cycle(pmap, x0, horizon, periodic_attractors, tol=1e-7):
     return None
 
 
-def _cycle_attracts(pmap, cycle, r=1e-4):
+def _cycle_attracts(pmap, cycle):
     """Probe whether a candidate cycle actually attracts a neighborhood.
 
     A contracting map glues nearby orbit segments below float resolution, so
     lag-recurrence alone cannot distinguish an attracting cycle from a
-    recurrent non-periodic orbit; a displaced probe must come back."""
-    q = len(cycle)
+    recurrent non-periodic orbit; a probe displaced by 1e-4 must come back."""
     p0 = cycle[0]
     for sgn in (1.0, -1.0):
-        y = min(max(p0 + sgn * r, 1e-12), 1.0 - 1e-12)
+        y = min(max(p0 + sgn * 1e-4, 1e-12), 1.0 - 1e-12)
         start = abs(y - p0)
-        ok = True
-        for _ in range(8):
-            for _ in range(q):
-                try:
-                    y = pmap.evaluate(y)
-                except Exception:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and abs(y - p0) < 0.25 * start:
+        try:
+            for _ in range(8 * len(cycle)):  # eight returns
+                y = pmap.evaluate(y)
+        except Exception:
+            continue
+        if abs(y - p0) < 0.25 * start:
             return True
     return False
-
-
-def _settled_orbit(pmap, x0, horizon):
-    n = min(max(horizon, 256), 20000)
-    pts, truncated = orbit_points(pmap, x0, n)
-    if len(pts) < 8:
-        return None, truncated
-    return pts, truncated
 
 
 @dataclass

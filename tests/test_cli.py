@@ -257,3 +257,30 @@ def test_bad_eps_exits_2(tmp_path, spec_logistic32, capsys, eps):
     assert err.count("error:") == 1 and "error: argument --eps" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["attractors", "--samples", "0"], "argument --samples: 0 is less than 1"),
+        (["--horizon", "0", "orbit"], "argument --horizon: 0 is less than 1"),
+        (["--horizon", "-5", "stats"], "argument --horizon: -5 is less than 1"),
+        (["entropy", "--nmax", "3"], "argument --nmax: 3 is less than 8"),
+        (["returnmap", "--interval", "0.5:0.2"], "argument --interval: 0.5:0.2 is not an interval inside [0, 1]"),
+        (["returnmap", "--interval", "abc"], "argument --interval: abc is not lo:hi"),
+        (["returnmap", "--interval", "0:2"], "argument --interval: 0:2 is not an interval inside [0, 1]"),
+        (["stats", "--window", "0.5"], "argument --window: 0.5 is not lo:hi"),
+        (["stats", "--phi", "poly:a"], "argument --phi: 'poly:a' is not an observable"),
+        (["stats", "--phi", "foo"], "argument --phi: 'foo' is not an observable"),
+        (["stats", "--phi", "pwl:0,1;0"], "2 piecewise-linear nodes but 1 values"),
+        (["historic", "--stages", "-1"], "argument --stages: -1 is less than 0"),
+    ],
+)
+def test_bad_arguments_exit_2(tmp_path, spec_logistic32, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["--map", spec_logistic32, "--out", str(tmp_path / "o"), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

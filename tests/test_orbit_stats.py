@@ -13,6 +13,7 @@ from intervaldyn.errors import ResolutionTooFine
 from intervaldyn.maps import Termination
 from intervaldyn.mapspec import parse_mapspec
 from intervaldyn.orbit_stats import (
+    _BranchTable,
     batch_cells,
     birkhoff_envelope,
     detect_historic,
@@ -282,6 +283,39 @@ def test_batch_power_branches_match_scalar(spec):
         assert res.final[i] == orb.points[-1]
 
 
+STEPPER_MAPS = {
+    "logistic4": lambda: catalog.logistic(4),  # one row: no branch lookup
+    "bimodal": catalog.bimodal,  # three rows, looked up
+    **{
+        f"power-{i}": (lambda spec=spec: parse_mapspec(spec + "critical = 1/2\n"))
+        for i, spec in enumerate(POWER_SPECS)
+    },
+}
+
+
+def _bits(a):
+    """The float64 bit patterns of a, with every NaN made one NaN."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", sorted(STEPPER_MAPS))
+def test_branch_table_stepper_matches_value(name):
+    # bit for bit against the scalar value, with the branch given and looked
+    # up (inside the branch, where the lookup cannot pick its neighbour)
+    pmap = STEPPER_MAPS[name]()
+    step = _BranchTable.of(pmap).stepper()
+    for i, b in enumerate(pmap.branches):
+        xs = np.linspace(b.flo, b.fhi, 513)
+        want = _bits([b.value(x) for x in xs])
+        out = np.empty_like(xs)
+        step(xs, out, np.full(xs.size, i))
+        assert np.array_equal(_bits(out), want), (i, "given")
+        out = np.empty(xs.size - 2)
+        step(xs[1:-1], out)
+        assert np.array_equal(_bits(out), want[1:-1]), (i, "looked up")
+
+
 @pytest.mark.parametrize("fine_bits", [33, -1])
 def test_batch_rejects_fine_bits_before_allocating(fine_bits, logistic4, tent2, monkeypatch):
     def refuse(*args, **kwargs):
@@ -488,6 +522,19 @@ def test_dyadic_orbit_cells_pinned(lorenz_map):
     assert _digest(mid) == "60be62292372c4d3"
     crit = lorenz_map.one_sided_limit_exact(lorenz_map.critical[0], "plus")
     assert _digest(dyadic_orbit_cells(lorenz_map, crit, 3000, 12)) == "654130609fab469d"
+
+
+@pytest.mark.parametrize("name", ["tent2", "doubling", "zigzag3"])
+def test_float_seeds_run_on_their_nearest_q_rational(name):
+    # a float seed of an integer-linear map runs as the Fraction round(x0 q)/q
+    pmap = {"tent2": catalog.tent(2), "doubling": catalog.doubling(),
+            "zigzag3": catalog.zigzag3()}[name]
+    q = catalog.ORBIT_PRIME
+    for x0 in (0.2137, 0.5, 1 / 3, 2 / 3, 0.9999):
+        pts, truncated = orbit_points(pmap, x0, 3000)
+        pts = pts.copy()
+        exact, exact_truncated = orbit_points(pmap, Fraction(round(x0 * q), q), 3000)
+        assert np.array_equal(pts, exact) and truncated == exact_truncated, x0
 
 
 def test_exact_orbits_put_a_cut_in_its_left_branch(lorenz_map, doubling_map):

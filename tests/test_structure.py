@@ -155,6 +155,21 @@ def test_periodic_orbits_flags_a_fixed_interval():
     assert str(info.value) == "f^2 fixes an interval inside [-0,1]"
 
 
+def test_periodic_orbits_reject_a_nan_residual():
+    # (1 - 11x/10)^3 then (11x - 10)^(3/2): a period-6 orbit from 0.0649...
+    # rounds to -2.2e-14 on the power branch, whose value there is NaN; its
+    # residual is NaN, and the root was counted with NaN points
+    pmap = parse_mapspec(
+        "branch = (0, 10/11) : 1, -11/10 : decreasing : exp=3\n"
+        "branch = (10/11, 1) : -10, 11 : increasing : exp=3/2\n"
+        "critical = 10/11\n"
+    )
+    table = periodic_orbits(pmap, 6, [PHI_X])
+    assert table.fix_counts == {1: 2, 2: 4, 3: 7, 4: 15, 5: 28, 6: 59}
+    assert not any(math.isnan(p) for o in table.orbits for p in o.points)
+    assert "nan" not in table.to_csv()
+
+
 def test_periodic_orbit_verification_invariants(logistic4):
     table = periodic_orbits(logistic4, 8, [PHI_X])
     for orb in table.orbits:
