@@ -101,6 +101,11 @@ class BranchSpec:
     def __hash__(self):
         return hash((self.lo, self.hi, self.coeffs, self.exponent, self.offset, self.sign))
 
+    @property
+    def plain_polynomial(self) -> bool:
+        """The value is phi(x) itself: exponent 1, offset 0 and sign +1."""
+        return self.exponent == 1 and self.offset == 0 and self.sign == 1
+
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:

@@ -1,15 +1,17 @@
 """Fixed-point big-integer arithmetic with directed rounding.
 
 Values are mantissas m representing m / 2**p for a context precision p.
-Used wherever double precision is structurally inadequate: exact orbits of
-the contracted rotation, certified interval propagation for witness
-construction.  Only the operations those paths need are provided.
+Used wherever double precision is structurally inadequate: the lorenz
+orbits, homterval search and verdicts, and the witness chain, pullback,
+certification and replay.  Only the operations those paths need are here.
 
-A map's branch boundaries enter as cut mantissas (``cut_mantissas``), and a
-mantissa x lies in branch ``bisect_left(cuts, x)`` when each boundary
-belongs to the branch on its left, ``bisect_right(cuts, x)`` when it belongs
-to the one on its right.  Dyadic-affine maps (every branch b0 + s x with
-dyadic b0 and s) step through ``affine_table``.
+A map enters as ``branch_table``: the coefficient mantissas of each branch
+and the cut mantissas.  A mantissa x lies in branch ``bisect_left(cuts, x)``
+when each boundary belongs to the branch on its left, ``bisect_right(cuts,
+x)`` when it belongs to the one on its right, and ``poly_down`` and
+``poly_up``, the one rounded step, bound its image below and above (the
+floor and ceiling of it for an affine row whose slope is an exact mantissa).
+Point orbits run through one loop, ``orbit_stats._dyadic_orbit``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+
+from .errors import NotClassified
 
 
 def from_fraction(fr: Fraction, p: int, round_up: bool = False) -> int:
@@ -77,9 +81,14 @@ def poly_up(coeffs: tuple[int, ...], x: int, p: int) -> int:
     return acc
 
 
-def cut_mantissas(pmap, p: int) -> list[int]:
-    """The interior breakpoints of a map as mantissas at precision p (rounded down)."""
-    return [from_fraction(c, p) for c in pmap.breakpoints[1:-1]]
+def branch_table(pmap, p: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The coefficient mantissas of each branch (low degree first) and the
+    interior breakpoints at precision p, rounded down.  Raises NotClassified
+    for a branch that is not a plain polynomial."""
+    if not all(b.plain_polynomial for b in pmap.branches):
+        raise NotClassified("mantissa arithmetic supports plain polynomial branches only")
+    cms = [tuple(from_fraction(c, p) for c in b.coeffs) for b in pmap.branches]
+    return cms, [from_fraction(c, p) for c in pmap.breakpoints[1:-1]]
 
 
 def branch_of(cuts: list[int], lo: int, hi: int) -> int | None:
@@ -87,28 +96,3 @@ def branch_of(cuts: list[int], lo: int, hi: int) -> int | None:
     or None when the interval straddles a cut."""
     idx = bisect_left(cuts, lo)
     return idx if idx == bisect_left(cuts, hi) else None
-
-
-def affine_table(pmap, p: int) -> tuple[list[tuple[int, Fraction]], list[int]]:
-    """A dyadic-affine map at precision p: (intercept mantissa, exact slope)
-    of each branch, and the cut mantissas."""
-    coeffs = [(from_fraction(b.coeffs[0], p), b.coeffs[1]) for b in pmap.branches]
-    return coeffs, cut_mantissas(pmap, p)
-
-
-def affine_point(x: int, branch: tuple[int, Fraction]) -> int:
-    """b0 + s x for one row (b0, s) of ``affine_table``, rounded down."""
-    b0, slope = branch
-    return (x * slope.numerator) // slope.denominator + b0
-
-
-def affine_interval(lo: int, hi: int, branch: tuple[int, Fraction]) -> tuple[int, int]:
-    """The image of [lo, hi] under one row of ``affine_table``, its lower end
-    rounded down and its upper end up: the image of hi is the lower end on a
-    decreasing branch."""
-    b0, slope = branch
-    if slope < 0:
-        lo, hi = hi, lo
-    ilo = (lo * slope.numerator) // slope.denominator + b0
-    ihi = -((-hi * slope.numerator) // slope.denominator) + b0
-    return ilo, ihi

@@ -31,6 +31,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -41,7 +42,7 @@ from .decomposition import grid_graph
 from .errors import EnvelopeViolation, NotClassified, ShadowingFailed
 from .maps import PiecewiseMap
 from .observables import Observable
-from .orbit_stats import BirkhoffSeries, _checkpoints, series_from_values
+from .orbit_stats import BirkhoffSeries, _checkpoints, _dyadic_orbit, series_from_values
 from .structure import birkhoff_max_oracle, strong_transitivity_check
 
 CHAIN_BITS = 320
@@ -70,9 +71,9 @@ class _BranchArith:
     """Directed-rounding evaluation and inversion of a polynomial branch."""
 
     def __init__(self, branch):
-        if branch.exponent != 1 or len(branch.coeffs) > 3:
+        if not branch.plain_polynomial or len(branch.coeffs) > 3:
             raise NotClassified(
-                "witness construction supports polynomial branches of degree <= 2"
+                "witness construction supports plain polynomial branches of degree <= 2"
             )
         self.coeffs = branch.coeffs
         self.mono = branch.monotonicity
@@ -83,18 +84,19 @@ class _BranchArith:
     def val_up(self, x, p, cm):
         return dyadic.poly_up(cm, x, p) + len(cm)
 
+    def _ends(self, lo, hi):
+        """lo and hi ordered by their images: the end that maps lowest first."""
+        return (lo, hi) if self.mono == "increasing" else (hi, lo)
+
     def image_inner(self, lo, hi, p, cm):
         """Interval certainly contained in the branch image of [lo, hi]."""
-        if self.mono == "increasing":
-            ilo, ihi = self.val_up(lo, p, cm), self.val_down(hi, p, cm)
-        else:
-            ilo, ihi = self.val_up(hi, p, cm), self.val_down(lo, p, cm)
-        return ilo + 2, ihi - 2
+        a, b = self._ends(lo, hi)
+        return self.val_up(a, p, cm) + 2, self.val_down(b, p, cm) - 2
 
     def image_outer(self, lo, hi, p, cm):
-        cand_lo = min(self.val_down(lo, p, cm), self.val_down(hi, p, cm))
-        cand_hi = max(self.val_up(lo, p, cm), self.val_up(hi, p, cm))
-        return cand_lo, cand_hi
+        """Interval certainly containing the branch image of [lo, hi]."""
+        a, b = self._ends(lo, hi)
+        return self.val_down(a, p, cm), self.val_up(b, p, cm)
 
     def inverse_inner(self, ylo, yhi, p):
         """Interval certainly inside the branch preimage of [ylo, yhi]."""
@@ -133,12 +135,6 @@ class _BranchArith:
         slack = 2 + math.ceil(1 / (2 * abs(c[2])))  # inward, covers the root error
         xlo, xhi = min(roots) + slack, max(roots) - slack
         return (xlo, xhi) if xlo <= xhi else None
-
-
-def _tables(pmap, ariths, p):
-    """Coefficient mantissas of each branch and the cut mantissas, at precision p."""
-    cms = [tuple(dyadic.from_fraction(c, p) for c in a.coeffs) for a in ariths]
-    return cms, dyadic.cut_mantissas(pmap, p)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +224,11 @@ class NestedWitness:
 
 
 class _ChainBuilder:
-    def __init__(self, pmap: PiecewiseMap, phi: Observable):
+    def __init__(self, pmap: PiecewiseMap):
         self.pmap = pmap
-        self.phi = phi
         self.p = CHAIN_BITS
         self.arith = [_BranchArith(b) for b in pmap.branches]
-        self.cm, self.cuts = _tables(pmap, self.arith, self.p)
+        self.cm, self.cuts = dyadic.branch_table(pmap, self.p)
         self.branch_word: list[int] = []
         self.slope_log2: list[float] = []
         self.floor_bits = 48
@@ -287,11 +282,12 @@ class _ChainBuilder:
             self.p *= 2
             self.lo <<= shift
             self.hi <<= shift
-            self.cm, self.cuts = _tables(self.pmap, self.arith, self.p)
+            self.cm, self.cuts = dyadic.branch_table(self.pmap, self.p)
 
-    def plan_phase(self, length: int, slope_bits: float):
-        """Reserve precision and the ball floor for a phase of known length."""
-        self.floor_bits = int(slope_bits * length) + 64
+    def plan_phase(self, length: int):
+        """Reserve precision and the ball floor for a phase of known length
+        at the steepest slope."""
+        self.floor_bits = int(self.max_slope_bits * length) + 64
         self._grow_to(self.floor_bits + 256)
 
     # -- phases --------------------------------------------------------------
@@ -432,7 +428,7 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
     n = len(bits) - 1
     p = bits[0]
     ariths = [_BranchArith(b) for b in pmap.branches]
-    cms, cuts = _tables(pmap, ariths, p)
+    cms, cuts = dyadic.branch_table(pmap, p)
     lo = dyadic.from_fraction(j_lo, p)
     hi = dyadic.from_fraction(j_hi, p, round_up=True)
     phi_lo = np.empty(n)
@@ -443,7 +439,7 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
             lo >>= s
             hi = -((-hi) >> s)
             p -= s
-            cms, cuts = _tables(pmap, ariths, p)
+            cms, cuts = dyadic.branch_table(pmap, p)
         flo = max(dyadic.to_float(lo, p), 0.0)
         fhi = min(dyadic.to_float_up(hi, p), 1.0)
         blo, bhi = phi.range_on(Fraction(flo), Fraction(max(fhi, flo)))
@@ -458,16 +454,9 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
 
 def _sum_scaled(values: np.ndarray, round_up: bool = False) -> np.ndarray:
     """Exact directed cumulative averages via 2^53-scaled integers."""
-    if round_up:
-        scaled = [math.ceil(v * (1 << 53)) for v in values]
-    else:
-        scaled = [math.floor(v * (1 << 53)) for v in values]
-    out = np.empty(len(scaled), dtype=float)
-    acc = 0
-    for i, s in enumerate(scaled):
-        acc += s
-        out[i] = acc / (1 << 53) / (i + 1)
-    return out
+    rounded = math.ceil if round_up else math.floor
+    sums = accumulate(rounded(v * (1 << 53)) for v in values)
+    return np.array([acc / (1 << 53) / (i + 1) for i, acc in enumerate(sums)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +502,7 @@ def construct_historic_point(
         if not rep.passed:
             raise ValueError("cycle support failed the strong-transitivity check")
 
-    builder = _ChainBuilder(pmap, phi)
+    builder = _ChainBuilder(pmap)
     span = cycle_intervals[0][1] - cycle_intervals[0][0]
     x_seed = cycle_intervals[0][0] + 0.37 * span
     builder.seed(x_seed, r / 2)
@@ -543,7 +532,7 @@ def construct_historic_point(
         # reserve the ball floor for the worst-case phase length before the
         # connection pins the chain bottom at the current floor
         worst = int(math.ceil(DOMINANCE * (builder.time + CONN_BUDGET))) + 16
-        builder.plan_phase(worst, builder.max_slope_bits)
+        builder.plan_phase(worst)
         steps = builder.connect(orbit_pts[0], r)
         length = max(int(math.ceil(DOMINANCE * builder.time)), 16)
         builder.shadow(orbit_pts, length, r)
@@ -656,17 +645,8 @@ class WitnessReport:
 def replay_positions(pmap: PiecewiseMap, witness: NestedWitness, n: int | None = None) -> np.ndarray:
     """The witness midpoint's orbit positions at the witness working precision."""
     horizon = min(n or witness.total_steps, witness.total_steps)
-    p = witness.precision_bits
-    x = dyadic.from_fraction(witness.midpoint(), p)
-    ariths = [_BranchArith(b) for b in pmap.branches]
-    cms, cuts = _tables(pmap, ariths, p)
-    pts = np.empty(horizon)
-    for j in range(horizon):
-        pts[j] = dyadic.to_float(x, p)
-        idx = bisect_left(cuts, x)
-        lo = ariths[idx].val_down(x, p, cms[idx])
-        x = lo + len(cms[idx])  # nearest-ish; error absorbed by tube slack
-    return pts
+    # each step rounds down; the error is absorbed by the tube slack
+    return _dyadic_orbit(pmap, witness.midpoint(), horizon - 1, witness.precision_bits)
 
 
 def verify_witness(pmap: PiecewiseMap, witness: NestedWitness, n: int | None = None,

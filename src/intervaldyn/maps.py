@@ -140,11 +140,7 @@ class PiecewiseMap:
 
     def _affine_with(self, coefficient_ok) -> bool:
         return all(
-            len(b.coeffs) == 2
-            and b.exponent == 1
-            and b.offset == 0
-            and b.sign == 1
-            and all(map(coefficient_ok, b.coeffs))
+            len(b.coeffs) == 2 and b.plain_polynomial and all(map(coefficient_ok, b.coeffs))
             for b in self.branches
         )
 

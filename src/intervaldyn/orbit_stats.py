@@ -79,7 +79,7 @@ def _compute_orbit(pmap: PiecewiseMap, x0, n: int) -> tuple[np.ndarray, bool]:
         return _exact_orbit(pmap, x0, n)
     if pmap.dyadic_affine:
         x0 = x0 if isinstance(x0, Fraction) else Fraction(float(x0))
-        return _dyadic_orbit(pmap, x0, n), False
+        return _dyadic_orbit(pmap, x0, n, DYADIC_ORBIT_BITS), False
     orb = pmap.iterate_orbit(float(x0), n)
     return orb.points, orb.termination is not Termination.HORIZON
 
@@ -127,16 +127,16 @@ def _exact_orbit(pmap: PiecewiseMap, x0: Fraction, n: int):
     return pts, False
 
 
-def _dyadic_orbit(pmap: PiecewiseMap, x0: Fraction, n: int) -> np.ndarray:
-    """Orbit of a dyadic-affine map on DYADIC_ORBIT_BITS mantissas, each
-    rounded down to a float."""
-    coeffs, cuts = dyadic.affine_table(pmap, DYADIC_ORBIT_BITS)
+def _dyadic_orbit(pmap: PiecewiseMap, x0: Fraction, n: int, p: int) -> np.ndarray:
+    """Orbit x_0..x_n on mantissas at precision p, each step and each
+    point rounded down (``poly_down``, ``to_float``)."""
+    cms, cuts = dyadic.branch_table(pmap, p)
     pts = np.empty(n + 1)
-    x = dyadic.from_fraction(x0, DYADIC_ORBIT_BITS)
-    pts[0] = dyadic.to_float(x, DYADIC_ORBIT_BITS)
+    x = dyadic.from_fraction(x0, p)
+    pts[0] = dyadic.to_float(x, p)
     for k in range(n):
-        x = dyadic.affine_point(x, coeffs[bisect_left(cuts, x)])
-        pts[k + 1] = dyadic.to_float(x, DYADIC_ORBIT_BITS)
+        x = dyadic.poly_down(cms[bisect_left(cuts, x)], x, p)
+        pts[k + 1] = dyadic.to_float(x, p)
     return pts
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dyadic
 from .cells import hausdorff_cells, cells_containing
-from .errors import DegenerateFamily, NotClassified
+from .errors import DegenerateFamily, IntervalDynError, NotClassified
 from .maps import PiecewiseMap, MINUS, PLUS
 from .observables import Observable
 from .orbit_stats import (
@@ -457,7 +457,7 @@ def _find_homtervals_dyadic(pmap: PiecewiseMap, n: int, min_len: float):
     """
     p = DYADIC_ORBIT_BITS
     min_m = max(1, dyadic.from_fraction(Fraction(min_len), p))
-    coeffs, cuts = dyadic.affine_table(pmap, p)
+    cms, cuts = dyadic.branch_table(pmap, p)
     crit = {dyadic.from_fraction(c, p) for c in pmap.critical}
     # pieces: (dom_lo, dom_hi, img_lo, img_hi, inv_num, inv_den)
     # where dom = dom_lo + (img - img_lo) * inv_num / inv_den, all mantissas;
@@ -482,10 +482,10 @@ def _find_homtervals_dyadic(pmap: PiecewiseMap, n: int, min_len: float):
                         windows.append((a, b, wlo, whi))
             for a, b, wlo, whi in windows:
                 # a window starting on a cut lies in the branch right of it
-                br = coeffs[bisect_right(cuts, wlo)]
-                slope = br[1]
+                i = bisect_right(cuts, wlo)
+                slope = pmap.branches[i].coeffs[1]
                 nxt.append(
-                    (a, b, dyadic.affine_point(wlo, br), dyadic.affine_point(whi, br),
+                    (a, b, dyadic.poly_down(cms[i], wlo, p), dyadic.poly_down(cms[i], whi, p),
                      inv_n * slope.denominator, inv_d * slope.numerator)
                 )
         pieces = nxt
@@ -551,7 +551,7 @@ def _dyadic_interval_orbit(pmap: PiecewiseMap, lo: float, hi: float, n: int):
     projections of genuinely disjoint images coincide.
     """
     p = DYADIC_ORBIT_BITS
-    coeffs, cuts = dyadic.affine_table(pmap, p)
+    cms, cuts = dyadic.branch_table(pmap, p)
     crit = [dyadic.from_fraction(c, p) for c in pmap.critical]
     mlo = dyadic.from_fraction(Fraction(lo), p)
     mhi = dyadic.from_fraction(Fraction(hi), p, round_up=True)
@@ -562,7 +562,9 @@ def _dyadic_interval_orbit(pmap: PiecewiseMap, lo: float, hi: float, n: int):
         idx = dyadic.branch_of(cuts, mlo, mhi)
         if idx is None:
             return out, False
-        mlo, mhi = dyadic.affine_interval(mlo, mhi, coeffs[idx])
+        if cms[idx][1] < 0:  # a decreasing branch sends hi to the lower end
+            mlo, mhi = mhi, mlo
+        mlo, mhi = dyadic.poly_down(cms[idx], mlo, p), dyadic.poly_up(cms[idx], mhi, p)
         out.append((mlo, mhi))
     return out, True
 
@@ -697,6 +699,8 @@ def lap_counts(pmap: PiecewiseMap, n_max: int, domain=None) -> list[int]:
     States are lap image intervals; laps with identical images evolve
     identically, so they are aggregated with multiplicities (the counts stay
     exact while the state dictionary stays small for the families here).
+    Raises IntervalDynError when a count reaches 0: a lap number is at least
+    1, so the float image states have lost every lap.
     """
     states: dict[tuple[float, float], int] = {}
     for lo, hi, _ in _initial_laps(pmap, domain):
@@ -714,6 +718,8 @@ def lap_counts(pmap: PiecewiseMap, n_max: int, domain=None) -> list[int]:
                 img = _image_interval(pmap, wlo, whi)
                 nxt[img] = nxt.get(img, 0) + cnt
         states = nxt
+        if not states:
+            raise IntervalDynError(f"lap count of f^{len(counts) + 1} is 0 (laps under 1e-13 are dropped)")
         counts.append(sum(states.values()))
         if len(states) > 300_000:
             raise MemoryError("lap state explosion; raise resolution or lower n_max")
@@ -734,12 +740,15 @@ def lap_entropy(pmap: PiecewiseMap, n_max: int = 24, domain=None) -> LapCount:
     half, which is exact for lap sequences of the form C * n^beta * e^(h n);
     the polynomial factor dominates at zero entropy (period-doubling limit,
     rotation-like maps) and would otherwise contaminate a plain slope at
-    reachable n_max.
+    reachable n_max.  Raises IntervalDynError when a lap count passes the
+    double range, where its logarithm cannot be taken in floats.
     """
     if n_max < 8:
         raise ValueError("n_max >= 8 required")
     counts = lap_counts(pmap, n_max, domain)
-    logc = np.log(counts)
+    if max(counts).bit_length() > 1023:
+        raise IntervalDynError(f"lap counts pass the double range before n = {n_max}")
+    logc = np.log(np.asarray(counts, dtype=float))  # counts may pass 2^63
     diffs = np.diff(logc)
     ns = np.arange(2, n_max + 1, dtype=float)
     k = max(4, len(diffs) // 2)

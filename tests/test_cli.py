@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,83 @@ def test_entropy_command(tmp_path, spec_doubling):
     assert abs(doc["entropy"] - 0.6931471805599453) < 1e-6
 
 
+# sha256 prefixes of laps.csv and entropy.json of `--map NAME.map entropy` at
+# the default --nmax, recorded before the lap counts were logged as floats
+ENTROPY_OUTPUTS = {
+    "l4": ("57656b01ee4ee617", "4c5d81a32f22301c"),
+    "doubling": ("1881d85b9a02382a", "13b61d73f6abb5dc"),
+    "tent2": ("d4e6b755c422c946", "5443f8e20344338c"),
+    "lorenz": ("92636e70cf6c77d2", "3f6bde142960dabd"),
+    "bimodal": ("a52ae7520f46f52a", "9c79a4b7f778a3b5"),
+    "zigzag3": ("d711d1ac4c85ad3f", "9fd3597ae80d09cb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTROPY_OUTPUTS))
+def test_entropy_outputs_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.map").write_text(SPECS[name])
+    assert main(["--map", f"{name}.map", "--out", "o", "entropy"]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest()[:16]
+        for f in ("laps.csv", "entropy.json")
+    )
+    assert digests == ENTROPY_OUTPUTS[name]
+
+
+@pytest.mark.parametrize(
+    "spec, nmax",
+    [("family = zigzag3\n", 41), ("family = logistic\nlam = 3.83\n", 100), ("family = bimodal\n", 100)],
+    ids=["zigzag3", "logistic3.83", "bimodal"],
+)
+def test_entropy_of_lap_counts_past_int64(tmp_path, spec, nmax):
+    # the lap counts pass 2^63 before nmax; they were logged as an object array
+    path = tmp_path / "m.map"
+    path.write_text(spec)
+    out = tmp_path / "e"
+    assert main(["--map", str(path), "--out", str(out), "entropy", "--nmax", str(nmax)]) == 0
+    counts = [int(line.split(",")[1]) for line in (out / "laps.csv").read_text().splitlines()[2:]]
+    assert len(counts) == nmax and counts[-1] > 2**63
+    assert math.isfinite(json.loads((out / "entropy.json").read_text())["entropy"])
+
+
+@pytest.mark.parametrize(
+    "spec, nmax, message",
+    [
+        # lorenz's float lap states lose one lap per step from n = 22 and
+        # none is left at n = 42; the entropy was written as NaN
+        ("family = lorenz\n", 60, "error: lap count of f^42 is 0"),
+        # doubling's 2^1100 laps do not fit a double
+        ("family = doubling\n", 1100, "error: lap counts pass the double range"),
+    ],
+    ids=["lorenz-no-lap-left", "doubling-past-double-range"],
+)
+def test_entropy_exits_1_on_lap_counts_it_cannot_log(tmp_path, capsys, spec, nmax, message):
+    path = tmp_path / "m.map"
+    path.write_text(spec)
+    out = tmp_path / "e"
+    assert main(["--map", str(path), "--out", str(out), "entropy", "--nmax", str(nmax)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (out / "entropy.json").exists()
+
+
+def test_historic_rejects_a_branch_with_an_offset(tmp_path, capsys):
+    # logistic(4) with its left branch written as 1/4 + (-1/4 + 4x - 4x^2):
+    # the witness arithmetic ignored the offset and overflowed
+    spec = tmp_path / "l4offset.map"
+    spec.write_text(
+        "branch = (0, 1/2) : -1/4, 4, -4 : increasing : exp=1, offset=1/4\n"
+        "branch = (1/2, 1) : 0, 4, -4 : decreasing\n"
+        "critical = 1/2\n"
+    )
+    rc = main(["--map", str(spec), "--out", str(tmp_path / "h"), "--horizon", "20000", "historic"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: witness construction supports plain polynomial branches of degree <= 2\n"
+
+
 def test_decompose_command(tmp_path, spec_logistic32):
     out = tmp_path / "d"
     rc = main(["--map", spec_logistic32, "--out", str(out), "--eps", "0.00390625", "decompose"])
@@ -138,20 +216,30 @@ def test_historic_command(tmp_path):
 
 # sha256 of the stats.csv and verify.json of `--map NAME.map --horizon 100000`
 # (the map path is part of the embedded config hash), recorded before the
-# statistics of one orbit began sharing its computation
+# statistics of one orbit began sharing its computation; lorenz's stats.csv
+# at --horizon 20000 (its dyadic mantissa orbit) was recorded before that
+# orbit and the witness replay shared one loop
 PINNED_OUTPUTS = {
     ("stats", "l4"): "bf611ac5fd75a9d561c30abace9d53de7adf31ebac6d85f9c0477af3d2e5a12c",
     ("stats", "doubling"): "0db208897c537ab67ac0441edb8b7ab5638d1c18b4c949accdfc9793f609d9fb",
+    ("stats", "lorenz"): "4445a5c1f405c4afe227085fb0c67d78e3bfd5616de2b7738c5afd0c0c0ffea2",
     ("verify", "l4"): "73eaa5c87c96497594b22b83850ae25b25922b28cdc1ce91b6579f42d496f6d6",
     ("verify", "doubling"): "fabadaf7f67809514398d95f23af0b48e7822cc6abec33d1f1943d0aab6b5fe5",
 }
-SPECS = {"l4": "family = logistic\nlam = 4\n", "doubling": "family = doubling\n"}
+SPECS = {
+    "l4": "family = logistic\nlam = 4\n",
+    "doubling": "family = doubling\n",
+    "tent2": "family = tent\n",
+    "lorenz": "family = lorenz\n",
+    "bimodal": "family = bimodal\n",
+    "zigzag3": "family = zigzag3\n",
+}
 
 
-def _run_pinned(tmp_path, monkeypatch, command, name):
+def _run_pinned(tmp_path, monkeypatch, command, name, horizon=100_000):
     monkeypatch.chdir(tmp_path)
     (tmp_path / f"{name}.map").write_text(SPECS[name])
-    rc = main(["--map", f"{name}.map", "--out", "o", "--horizon", "100000", command])
+    rc = main(["--map", f"{name}.map", "--out", "o", "--horizon", str(horizon), command])
     path = tmp_path / "o" / ("stats.csv" if command == "stats" else "verify.json")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_OUTPUTS[command, name]
     return rc, path
@@ -160,6 +248,11 @@ def _run_pinned(tmp_path, monkeypatch, command, name):
 @pytest.mark.parametrize("name", ["l4", "doubling"])
 def test_stats_output_pinned(tmp_path, monkeypatch, name):
     rc, _ = _run_pinned(tmp_path, monkeypatch, "stats", name)
+    assert rc == 0
+
+
+def test_lorenz_stats_output_pinned(tmp_path, monkeypatch):
+    rc, _ = _run_pinned(tmp_path, monkeypatch, "stats", "lorenz", horizon=20_000)
     assert rc == 0
 
 

@@ -60,16 +60,24 @@ def test_to_float_up_is_the_smallest_double_above(m, p):
     assert Fraction(math.nextafter(f, -math.inf)) < x <= Fraction(f)
 
 
-# slopes of both signs with dyadic denominators, as in ``affine_table`` rows
+# slopes of both signs with dyadic denominators, as in dyadic-affine maps;
+# at P_AFFINE bits every one of them is an exact mantissa
 SLOPES = st.builds(Fraction, st.integers(-64, 64).filter(bool), st.sampled_from([1, 2, 4, 8, 1 << 40]))
 ENDS = st.integers(-(1 << 80), 1 << 80)
+P_AFFINE = 48
 
 
 @settings(derandomize=True, deadline=None)
 @given(ENDS, SLOPES, ENDS, ENDS)
-@example(3 << 7, Fraction(-3, 2), 129, 131)  # tent(3/2)'s right branch at p = 8
+@example(3 << 47, Fraction(-3, 2), 129 << 40, 131 << 40)  # tent(3/2)'s right branch
 def test_affine_interval_encloses_the_image(b0, slope, lo, hi):
+    # the interval step of a dyadic-affine row (b0, s): the lower end is
+    # poly_down of the end that maps lowest, the upper end poly_up of the other
     lo, hi = min(lo, hi), max(lo, hi)
-    ilo, ihi = dyadic.affine_interval(lo, hi, (b0, slope))
+    row = (b0, dyadic.from_fraction(slope, P_AFFINE))
+    assert row[1] == slope * (1 << P_AFFINE)
+    if row[1] < 0:
+        lo, hi = hi, lo
+    ilo, ihi = dyadic.poly_down(row, lo, P_AFFINE), dyadic.poly_up(row, hi, P_AFFINE)
     ends = sorted(b0 + slope * x for x in (lo, hi))
     assert ilo == math.floor(ends[0]) and ihi == math.ceil(ends[1])

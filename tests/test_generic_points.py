@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intervaldyn import Observable, catalog, generic_points
+from intervaldyn import Observable, catalog, dyadic, generic_points
 from intervaldyn.errors import EnvelopeViolation, NotClassified
 from intervaldyn.generic_points import (
     NestedWitness,
@@ -63,6 +63,56 @@ def test_witness_json_pinned(request, name):
     assert hashlib.sha256(witness.to_json().encode()).hexdigest() == WITNESS_DIGESTS[name]
 
 
+# sha256 of replay_positions of the stages=2 witnesses, recorded before the
+# replay became a call of the dyadic orbit loop
+REPLAY_DIGESTS = {
+    "tent2": "04eb3a06c9f7434ab3db6759822305bcaa39bcc4526dededbeb2cc29dd1eae47",
+    "logistic4": "5aa41dbdc8f0648a685bff51734030b45391bca090f8da777d821a8750a5c1dc",
+    "doubling": "d2a2b7bb50ca0051aaab9f09bc1ca637190022036443ee135cbc535b9646a1ef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_DIGESTS))
+def test_replay_positions_pinned(request, name):
+    pmap = {"tent2": catalog.tent(2), "logistic4": catalog.logistic(4), "doubling": catalog.doubling()}[name]
+    witness = request.getfixturevalue(f"{name}_witness")
+    pts = replay_positions(pmap, witness)
+    assert len(pts) == witness.total_steps
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == REPLAY_DIGESTS[name]
+
+
+# logistic(4) with its left branch written as 1/4 + (-1/4 + 4x - 4x^2)
+OFFSET_LOGISTIC4 = (
+    "branch = (0, 1/2) : -1/4, 4, -4 : increasing : exp=1, offset=1/4\n"
+    "branch = (1/2, 1) : 0, 4, -4 : decreasing\n"
+    "critical = 1/2\n"
+)
+
+
+def test_witness_rejects_a_branch_with_an_offset():
+    # the mantissa arithmetic evaluates phi alone; it ignored the offset
+    pmap = parse_mapspec(OFFSET_LOGISTIC4)
+    with pytest.raises(NotClassified, match="plain polynomial"):
+        construct_historic_point(pmap, FULL, PHI_X, (0.75,), (0.0,), stages=2,
+                                 check_transitivity=False)
+    with pytest.raises(NotClassified, match="plain polynomial"):
+        dyadic.branch_table(pmap, 64)
+
+
+@pytest.mark.parametrize("p", [64, 200])
+def test_image_outer_encloses_the_branch_image(logistic4, p):
+    rng = np.random.default_rng(p)
+    one = 1 << p
+    cms, _ = dyadic.branch_table(logistic4, p)
+    for branch, cm in zip(logistic4.branches, cms):
+        arith = _BranchArith(branch)
+        for _ in range(200):
+            lo, hi = sorted(int((branch.lo + (branch.hi - branch.lo) * Fraction(t)) * one) for t in rng.random(2))
+            ilo, ihi = arith.image_outer(lo, hi, p, cm)
+            image = [branch.value_exact(Fraction(x, one)) for x in (lo, hi)]
+            assert Fraction(ilo, one) <= min(image) and max(image) <= Fraction(ihi, one)
+
+
 @pytest.mark.parametrize(
     "name, target, digest",
     [
@@ -74,7 +124,7 @@ def test_witness_json_pinned(request, name):
 def test_steer_distances_pinned(request, name, target, digest):
     # sha256 prefix of the grid distances that steer a connection, recorded
     # while the chain builder ran its own backward search
-    dist = _ChainBuilder(request.getfixturevalue(name), PHI_X)._steer_distances(target)
+    dist = _ChainBuilder(request.getfixturevalue(name))._steer_distances(target)
     assert hashlib.sha256(dist.tobytes()).hexdigest()[:16] == digest
 
 
