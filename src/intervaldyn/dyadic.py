@@ -12,6 +12,13 @@ x)`` when it belongs to the one on its right, and ``poly_down`` and
 ``poly_up``, the one rounded step, bound its image below and above (the
 floor and ceiling of it for an affine row whose slope is an exact mantissa).
 Point orbits run through one loop, ``orbit_stats._dyadic_orbit``.
+
+Their products skip known zero bits.  The leading coefficient is shifted
+right past its trailing zeros before it multiplies x, and a lower Horner
+product (t + c) x is split as t x + c x when c has at most SPLIT_BITS
+significant bits.  Near 0, where t and x are short and an integer c is not,
+that is a short product instead of a p-bit one.  The split gives the same
+integers as the single product.
 """
 
 from __future__ import annotations
@@ -55,30 +62,54 @@ def to_fraction(m: int, p: int) -> Fraction:
     return Fraction(m, 1 << p)
 
 
+def _trailing_zeros(c: int, p: int) -> int:
+    return min((c & -c).bit_length() - 1, p) if c else p
+
+
 def _lead_product(lead: int, x: int, p: int, round_up: bool) -> int:
     """(lead * x) / 2^p rounded down or up, skipping lead's trailing zero bits.
 
     An integer or other dyadic coefficient has about p such bits, so the
     product is a small-by-big multiplication instead of a p-by-p one.
     """
-    z = min((lead & -lead).bit_length() - 1, p) if lead else p
+    z = _trailing_zeros(lead, p)
     prod = (lead >> z) * x
     return -((-prod) >> (p - z)) if round_up else prod >> (p - z)
 
 
+#: A Horner coefficient with at most this many significant bits is multiplied
+#: on its own (``_horner_product``).
+SPLIT_BITS = 64
+
+
+def _horner_product(t: int, c: int, x: int, p: int) -> int:
+    """(t + c) * x, as t * x + c * x when c has at most SPLIT_BITS significant
+    bits, skipping c's trailing zero bits.
+
+    Near 0, where t and x are short and an integer coefficient c is not,
+    this is a short-by-short and a small-by-short product instead of a
+    p-by-short one.  A coefficient with more bits keeps the single product.
+    """
+    z = _trailing_zeros(c, p)
+    head = c >> z
+    if head.bit_length() > SPLIT_BITS:
+        return (t + c) * x
+    return t * x + ((head * x) << z)
+
+
 def poly_down(coeffs: tuple[int, ...], x: int, p: int) -> int:
     """Horner lower bound of sum c_k x^k for mantissas, x >= 0."""
-    acc = _lead_product(coeffs[-1], x, p, False) + coeffs[-2]
-    for c in reversed(coeffs[:-2]):
-        acc = ((acc * x) >> p) + c
-    return acc
+    acc = _lead_product(coeffs[-1], x, p, False)
+    for c in coeffs[-2:0:-1]:
+        acc = _horner_product(acc, c, x, p) >> p
+    return acc + coeffs[0]
 
 
 def poly_up(coeffs: tuple[int, ...], x: int, p: int) -> int:
-    acc = _lead_product(coeffs[-1], x, p, True) + coeffs[-2]
-    for c in reversed(coeffs[:-2]):
-        acc = -((-(acc * x)) >> p) + c
-    return acc
+    acc = _lead_product(coeffs[-1], x, p, True)
+    for c in coeffs[-2:0:-1]:
+        acc = -((-_horner_product(acc, c, x, p)) >> p)
+    return acc + coeffs[0]
 
 
 def branch_table(pmap, p: int) -> tuple[list[tuple[int, ...]], list[int]]:

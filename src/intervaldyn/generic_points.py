@@ -22,6 +22,15 @@ stays an enclosure whatever the schedule; a schedule that is too low can
 only widen it, until it straddles the critical set and the pass raises
 EnvelopeViolation instead of certifying a looser envelope.  Double
 precision would die after ~50 steps.
+
+At each precision the arithmetic skips work that the bits do not need, and
+every mantissa stays the one that plain arithmetic would give.  The
+pullback takes a square root by one Newton step off the last root when that
+step is close enough to finish exactly (``_BranchArith.isqrt``), and calls
+``math.isqrt`` otherwise.  The chain builds each shadow ball once per
+precision and floor, and reuses the value at an end it was clipped to.  The
+forward pass bounds phi by exact integer evaluations at the interval's two
+float ends (``Observable.bounds``).
 """
 
 from __future__ import annotations
@@ -77,6 +86,11 @@ class _BranchArith:
             )
         self.coeffs = branch.coeffs
         self.mono = branch.monotonicity
+        # the coefficients over their common denominator L: A_k = L a_k
+        self.den = math.lcm(*(v.denominator for v in self.coeffs))
+        self.scaled = tuple(int(v * self.den) for v in self.coeffs)
+        self._root = None  # (p, s, s * s) of the last square root taken
+        self._inner = [(None, 0), (None, 0)]  # ((p, x), value) of image_inner's last ends
 
     def val_down(self, x, p, cm):
         return dyadic.poly_down(cm, x, p) - len(cm)
@@ -89,14 +103,58 @@ class _BranchArith:
         return (lo, hi) if self.mono == "increasing" else (hi, lo)
 
     def image_inner(self, lo, hi, p, cm):
-        """Interval certainly contained in the branch image of [lo, hi]."""
+        """Interval certainly contained in the branch image of [lo, hi].
+
+        ``cm`` is the branch's row of ``dyadic.branch_table`` at p.  An end
+        equal to the last one evaluated at the same precision reuses its
+        value: in a shadow phase next to a repelling fixed point the chain is
+        clipped to the same ball edge at every step.
+        """
         a, b = self._ends(lo, hi)
-        return self.val_up(a, p, cm) + 2, self.val_down(b, p, cm) - 2
+        up, down = self._inner
+        if up[0] != (p, a):
+            up = self._inner[0] = ((p, a), self.val_up(a, p, cm) + 2)
+        if down[0] != (p, b):
+            down = self._inner[1] = ((p, b), self.val_down(b, p, cm) - 2)
+        return up[1], down[1]
 
     def image_outer(self, lo, hi, p, cm):
         """Interval certainly containing the branch image of [lo, hi]."""
         a, b = self._ends(lo, hi)
         return self.val_down(a, p, cm), self.val_up(b, p, cm)
+
+    def isqrt(self, n, p):
+        """``math.isqrt(n)`` for a discriminant n at precision p, by one Newton
+        step off the last root when that step lands within a few units.
+
+        Successive discriminants are often close multiples of 4^p: the two
+        ends of one pullback step, and the ends of steps near a fixed point.
+        The last root s, shifted to precision p, and s^2, known from the last
+        remainder, give t = s + q with q = (n - s^2) // (2 s), the floor of
+        (s + n / s) / 2 >= sqrt(n).  When q has fewer than about half the
+        bits of s, t exceeds the root by a few units at most (Brent and
+        Zimmermann, Modern Computer Arithmetic, 2010, 1.5), and
+        n - t^2 = (n - s^2) - 2 s q - q^2 needs no squaring, so unit steps
+        down on it make t exact.  Otherwise, after a fall in precision for
+        one, it calls ``math.isqrt``.
+        """
+        last = self._root
+        if last is not None and last[0] <= p and last[1] and n:
+            d = p - last[0]
+            s, s2 = last[1] << d, last[2] << (2 * d)
+            e = n - s2
+            if 2 * (e.bit_length() - s.bit_length()) < s.bit_length():
+                q = e // (s << 1)
+                t = s + q
+                r = e - ((s * q) << 1) - q * q  # n - t^2
+                while r < 0:
+                    r += 2 * t - 1
+                    t -= 1
+                self._root = (p, t, n - r)
+                return t
+        t = isqrt(n)
+        self._root = (p, t, t * t)
+        return t
 
     def inverse_inner(self, ylo, yhi, p):
         """Interval certainly inside the branch preimage of [ylo, yhi]."""
@@ -119,12 +177,13 @@ class _BranchArith:
         # floor((-A1 2^p +- sq) / (2 A2)) is within 1 + 1 / (2 |a2|) ulps of
         # the exact one.  When every a_k 2^p is an integer this is the
         # mantissa formula ((-a1m +- isqrt(disc)) << p) // (2 a2m) bit for bit.
-        den = math.lcm(*(v.denominator for v in c))
-        A0, A1, A2 = (int(v * den) for v in c)
+        den = self.den
+        A0, A1, A2 = self.scaled
         b, a0s = A1 << p, A0 << p
         b2 = (A1 * A1) << (2 * p)  # b * b without a p-by-p multiplication
+        # the lower end first: the upper end's root is seeded from its root
         sqs = [
-            den * (isqrt(max(b2 - 4 * A2 * ((a0s - den * y) << p), 0)) // den)
+            den * (self.isqrt(max(b2 - 4 * A2 * ((a0s - den * y) << p), 0), p) // den)
             for y in (ylo, yhi)
         ]
         # f'(x) = 2 a2 x + a1 = +-sqrt(disc) at the root (-a1 +- sqrt(disc)) / (2 a2),
@@ -240,6 +299,7 @@ class _ChainBuilder:
         self.hi = dyadic.from_fraction(Fraction(1, 3), self.p)
         self.time = 0
         self._steer = {}
+        self._balls = {}  # (center, r, p, floor_bits) -> the ball's mantissas
 
     # -- primitives --------------------------------------------------------
 
@@ -271,10 +331,13 @@ class _ChainBuilder:
         # balls near the endpoints are floored a phase-dependent hair inside
         # (0,1): holding L steps next to a repelling fixed point needs room
         # for the chain's edge to expand out of r * 4^-L
-        tiny = 1 << max(self.p - self.floor_bits, 4)
-        lo = dyadic.from_fraction(Fraction(max(center - r, 0.0)), self.p)
-        hi = dyadic.from_fraction(Fraction(min(center + r, 1.0)), self.p, round_up=True)
-        return max(lo, tiny), min(hi, (1 << self.p) - tiny)
+        key = (center, r, self.p, self.floor_bits)
+        if key not in self._balls:
+            tiny = 1 << max(self.p - self.floor_bits, 4)
+            lo = dyadic.from_fraction(Fraction(max(center - r, 0.0)), self.p)
+            hi = dyadic.from_fraction(Fraction(min(center + r, 1.0)), self.p, round_up=True)
+            self._balls[key] = max(lo, tiny), min(hi, (1 << self.p) - tiny)
+        return self._balls[key]
 
     def _grow_to(self, pmin: int):
         while self.p < pmin:
@@ -442,9 +505,7 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
             cms, cuts = dyadic.branch_table(pmap, p)
         flo = max(dyadic.to_float(lo, p), 0.0)
         fhi = min(dyadic.to_float_up(hi, p), 1.0)
-        blo, bhi = phi.range_on(Fraction(flo), Fraction(max(fhi, flo)))
-        phi_lo[j] = float(blo)
-        phi_hi[j] = float(bhi)
+        phi_lo[j], phi_hi[j] = phi.bounds(flo, max(fhi, flo))
         idx = dyadic.branch_of(cuts, lo, hi)
         if idx is None:
             raise EnvelopeViolation(f"certified interval straddles C at step {j}")

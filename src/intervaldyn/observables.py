@@ -7,6 +7,7 @@ on orbits in bulk.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,17 @@ class Observable:
             self.coeffs = tuple(as_fraction(c) for c in data)
             self.fcoeffs = tuple(float(c) for c in self.coeffs)
             self._fd = tuple(float(c) for c in poly_derive(self.coeffs))
+            self._scaled = None
+            if len(self.coeffs) <= 3:
+                # phi = sum N_k x^k / D over the common denominator D, and its
+                # vertex v = vn / vd (vd > 0) with phi(v) when that is a minimum
+                # or a maximum
+                den = math.lcm(*(c.denominator for c in self.coeffs))
+                self._scaled = (tuple(int(c * den) for c in self.coeffs), den)
+                self._vertex = None
+                if len(self.coeffs) == 3 and self.coeffs[2] != 0:
+                    v = -self.coeffs[1] / (2 * self.coeffs[2])
+                    self._vertex = (v.numerator, v.denominator, float(self.value_exact(v)))
         elif kind == "pwl":
             xs, ys = data
             if len(xs) != len(ys):
@@ -98,6 +110,38 @@ class Observable:
                 vals.append(self.value_exact(t))
             slack = self.lipschitz() * float(hi - lo) / n
             return min(vals) - as_fraction(slack), max(vals) + as_fraction(slack)
+        return min(vals), max(vals)
+
+    def _value_at(self, x: float) -> float:
+        """phi(x) for a double x = m / 2^e: the integer sum N_k m^k 2^(e (d - k))
+        over D 2^(e d), rounded to the nearest double."""
+        m, q = x.as_integer_ratio()
+        e = q.bit_length() - 1
+        nums, den = self._scaled
+        d = len(nums) - 1
+        acc = nums[-1]
+        for k in range(d - 1, -1, -1):
+            acc = acc * m + (nums[k] << (e * (d - k)))
+        return acc / (den << (e * d))
+
+    def bounds(self, lo: float, hi: float) -> tuple[float, float]:
+        """The least and the greatest value of phi on [lo, hi], lo <= hi
+        doubles, as the doubles nearest to them.
+
+        A polynomial of degree <= 2 takes one exact integer evaluation per
+        end, plus its vertex when that lies inside; any other observable
+        goes through ``range_on``.
+        """
+        if self.kind != "poly" or self._scaled is None:
+            blo, bhi = self.range_on(Fraction(lo), Fraction(hi))
+            return float(blo), float(bhi)
+        vals = [self._value_at(lo), self._value_at(hi)]
+        if self._vertex is not None:
+            vn, vd, fv = self._vertex
+            mlo, qlo = lo.as_integer_ratio()
+            mhi, qhi = hi.as_integer_ratio()
+            if mlo * vd < vn * qlo and vn * qhi < mhi * vd:
+                vals.append(fv)
         return min(vals), max(vals)
 
     def range_global(self) -> tuple[float, float]:

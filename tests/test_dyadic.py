@@ -31,6 +31,26 @@ def test_poly_bounds_match_plain_horner(p):
                 assert dyadic.poly_up(coeffs, x, p) == _horner(coeffs, x, p, True)
 
 
+# coefficients at precision P_HORNER: dyadic ones (a few significant bits over
+# up to P_HORNER + 3 trailing zeros, as integer coefficients have) and
+# non-dyadic ones (every bit significant); points near 0 (short) and anywhere
+P_HORNER = 700
+ZEROS = st.integers(0, P_HORNER + 3) | st.integers(P_HORNER - 3, P_HORNER + 3)
+DYADIC_COEFFS = st.builds(lambda k, z: k << z, st.integers(-(1 << 20), 1 << 20), ZEROS)
+FULL_COEFFS = st.integers(-(8 << P_HORNER), 8 << P_HORNER)
+POINTS = st.integers(0, P_HORNER + 1).flatmap(lambda b: st.integers(0, 1 << b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(DYADIC_COEFFS | FULL_COEFFS, min_size=2, max_size=4), POINTS)
+def test_split_horner_products_match_plain_horner(coeffs, x):
+    # degrees 1 to 3: poly_down and poly_up multiply a short coefficient on
+    # its own; the plain Horner formula above is the reference
+    coeffs = tuple(coeffs)
+    assert dyadic.poly_down(coeffs, x, P_HORNER) == _horner(coeffs, x, P_HORNER, False)
+    assert dyadic.poly_up(coeffs, x, P_HORNER) == _horner(coeffs, x, P_HORNER, True)
+
+
 # -- directed conversion and enclosure, as properties compared in Fractions ------
 
 # mantissas of every length from 1 to 130 bits, so the 54- to 62-bit ones

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intervaldyn import Observable, catalog, dyadic, generic_points
 from intervaldyn.errors import EnvelopeViolation, NotClassified
@@ -361,3 +364,79 @@ def test_inverse_inner_stays_on_its_branch(p):
             assert branch.lo <= xlo <= xhi <= branch.hi, (branch, ylo, yhi)
             image = [branch.coeffs[0] + branch.coeffs[1] * x + branch.coeffs[2] * x * x for x in (xlo, xhi)]
             assert Fraction(ylo, one) <= min(image) and max(image) <= Fraction(yhi, one)
+
+
+# one step of a sequence of square roots: the change of precision, what n is
+# (0, a discriminant 16 2^p (2^p - y) of logistic(4)'s inverse with y of the
+# given percentage of p's bits, or a square next to the last root), the seed
+# of y and an offset
+ROOT_STEP = st.tuples(
+    st.integers(-40, 160),
+    st.sampled_from(["zero", "discriminant", "discriminant", "square"]),
+    st.integers(0, 1 << 32),
+    st.integers(0, 100),
+    st.integers(-3, 3),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 400), st.lists(ROOT_STEP, min_size=1, max_size=24))
+def test_seeded_root_is_isqrt(p, steps):
+    # precision that rises and falls, n = 0, n next to the last root and n
+    # far from it: every root is math.isqrt's
+    arith = _BranchArith(catalog.logistic(4).branches[0])
+    last_n, last_p = 0, p
+    for dp, kind, seed, percent, off in steps:
+        p = max(p + dp, 1)
+        if kind == "zero":
+            n = 0
+        elif kind == "discriminant":
+            y = random.Random(seed).getrandbits(p * percent // 100)
+            n = max((16 << (2 * p)) - (y << (p + 4)) + off, 0)
+        else:
+            root = math.isqrt(last_n << (2 * max(p - last_p, 0)))
+            n = max((root + off) ** 2 + seed % 5 - 2, 0)
+        assert arith.isqrt(n, p) == math.isqrt(n)
+        last_n, last_p = n, p
+
+
+@pytest.mark.parametrize("p", [64, 320])
+def test_image_inner_reuses_an_end_only_at_its_precision(logistic4, p):
+    # the same mantissas after a change of precision are other points, and
+    # are evaluated again
+    arith = _BranchArith(logistic4.branches[0])
+    lo, hi = 1 << (p - 20), 1 << (p - 4)
+    for q in (p, p, 2 * p, p):
+        cm = dyadic.branch_table(logistic4, q)[0][0]
+        fresh = _BranchArith(logistic4.branches[0]).image_inner(lo, hi, q, cm)
+        assert arith.image_inner(lo, hi, q, cm) == fresh
+
+
+def test_shadow_ball_follows_precision_and_floor(logistic4):
+    builder = _ChainBuilder(logistic4)
+    for p, floor_bits in ((320, 48), (320, 48), (320, 200), (640, 200), (320, 48)):
+        builder.p, builder.floor_bits = p, floor_bits
+        fresh = _ChainBuilder(logistic4)
+        fresh.p, fresh.floor_bits = p, floor_bits
+        assert builder._ball(0.0, 1e-3) == fresh._ball(0.0, 1e-3)
+
+
+# observables of degree <= 2 with rational coefficients, some of them with
+# their vertex v in [0, 1], on [lo, hi] with float ends anywhere in [0, 1],
+# subnormal ones included
+SMALL_FRACTIONS = st.fractions(-8, 8, max_denominator=1000)
+OBSERVABLE_COEFFS = st.lists(SMALL_FRACTIONS, min_size=1, max_size=3) | st.builds(
+    lambda c0, c2, v: [c0, -2 * c2 * v, c2],
+    SMALL_FRACTIONS, SMALL_FRACTIONS, st.fractions(0, 1, max_denominator=1000),
+)
+UNIT_FLOATS = st.floats(0, 1) | st.floats(0, 1e-300)
+
+
+@settings(derandomize=True, deadline=None)
+@given(OBSERVABLE_COEFFS, UNIT_FLOATS, UNIT_FLOATS)
+def test_observable_bounds_match_range_on(coeffs, a, b):
+    # one integer evaluation per end, and the vertex when it lies inside
+    phi = Observable.poly(coeffs)
+    lo, hi = min(a, b), max(a, b)
+    blo, bhi = phi.range_on(Fraction(lo), Fraction(hi))
+    assert phi.bounds(lo, hi) == (float(blo), float(bhi))
