@@ -43,6 +43,11 @@ from .structure import (
 )
 
 
+HORIZON = 1_000_000  # default --horizon
+RETURN_HORIZON = 64  # default --horizon of returnmap
+MAX_RETURN_HORIZON = 10_000
+
+
 def _config_hash(args: argparse.Namespace) -> str:
     skip = {"func", "out"}  # the output directory is not part of the analysis
     doc = {k: repr(v) for k, v in sorted(vars(args).items()) if k not in skip}
@@ -181,8 +186,7 @@ def cmd_attractors(pmap, args) -> int:
 
 def cmd_returnmap(pmap, args) -> int:
     lo, hi = (float(v) for v in args.interval.split(":"))
-    horizon = args.horizon if args.horizon <= 10_000 else 64
-    rm = first_return_map(pmap, (lo, hi), horizon)
+    rm = first_return_map(pmap, (lo, hi), args.horizon)
     payload = {"returnmap": rm.to_json_dict(), "full_branch": is_full_branch(rm)}
     _write(args, "returnmap.json", _json_doc(args, payload))
     if args.format in ("svg", "all"):
@@ -329,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=os.environ.get("INTERVALDYN_OUT", "out"))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--eps", type=_eps, default=2.0**-12)
-    ap.add_argument("--horizon", type=_at_least(1), default=1_000_000)
+    ap.add_argument(
+        "--horizon", type=_at_least(1), default=None,
+        help=f"orbit length (default {HORIZON}); for returnmap the longest return "
+        f"time searched (default {RETURN_HORIZON}, at most {MAX_RETURN_HORIZON})",
+    )
     ap.add_argument("--format", choices=["csv", "json", "svg", "all"], default="all")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -371,6 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.horizon is None:
+        args.horizon = RETURN_HORIZON if args.command == "returnmap" else HORIZON
+    elif args.command == "returnmap" and args.horizon > MAX_RETURN_HORIZON:
+        # each piece is pulled back through its whole word at every step,
+        # so the search costs the square of the horizon
+        ap.error(f"argument --horizon: returnmap searches at most {MAX_RETURN_HORIZON} steps, got {args.horizon}")
     try:
         pmap = load_mapspec(args.map)
     except (MapSpecError, OSError) as exc:

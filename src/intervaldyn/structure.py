@@ -137,8 +137,9 @@ def _level_roots(pmap, step, words, doms, q):
     def g(x, w):
         """f_w(x) - x for the words of the indices w, rounded as word_eval."""
         y, spare = x.copy(), np.empty_like(x)
+        word = letters[w]  # one gather per call, a column view per letter
         for k in range(q):
-            step(y, spare, letters[w, k])
+            step(y, spare, word[:, k])
             y, spare = spare, y
         return y - x
 

@@ -78,6 +78,16 @@ def test_returnmap_command(tmp_path, spec_doubling):
     assert rc == 0
     doc = json.loads((out / "returnmap.json").read_text())
     assert doc["full_branch"] is True
+    assert doc["returnmap"]["horizon"] == 64
+
+
+def test_returnmap_uses_the_horizon_given(tmp_path, spec_doubling):
+    # a --horizon up to 10 000 is searched as given; above it was once
+    # replaced by 64 without a word
+    out = tmp_path / "r"
+    rc = main(["--map", spec_doubling, "--out", str(out), "--horizon", "5000", "returnmap"])
+    assert rc == 0
+    assert json.loads((out / "returnmap.json").read_text())["returnmap"]["horizon"] == 5000
 
 
 def test_entropy_command(tmp_path, spec_doubling):
@@ -361,6 +371,7 @@ def test_bad_eps_exits_2(tmp_path, spec_logistic32, capsys, eps):
         (["entropy", "--nmax", "3"], "argument --nmax: 3 is less than 8"),
         (["returnmap", "--interval", "0.5:0.2"], "argument --interval: 0.5:0.2 is not an interval inside [0, 1]"),
         (["returnmap", "--interval", "abc"], "argument --interval: abc is not lo:hi"),
+        (["--horizon", "20000", "returnmap"], "argument --horizon: returnmap searches at most 10000 steps, got 20000"),
         (["returnmap", "--interval", "0:2"], "argument --interval: 0:2 is not an interval inside [0, 1]"),
         (["stats", "--window", "0.5"], "argument --window: 0.5 is not lo:hi"),
         (["stats", "--phi", "poly:a"], "argument --phi: 'poly:a' is not an observable"),
