@@ -58,6 +58,16 @@ def to_float_up(m: int, p: int) -> float:
     return math.ldexp(head + (head << shift != m), shift - p)
 
 
+def quotient_float(num: int, den: int, round_up: bool = False) -> float:
+    """The largest double at or below num / den (den > 0), or with round_up
+    the smallest double at or above it."""
+    f = num / den  # correctly rounded
+    a, b = f.as_integer_ratio()
+    if round_up:
+        return math.nextafter(f, math.inf) if a * den < num * b else f
+    return math.nextafter(f, -math.inf) if a * den > num * b else f
+
+
 def to_fraction(m: int, p: int) -> Fraction:
     return Fraction(m, 1 << p)
 

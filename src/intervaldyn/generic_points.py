@@ -514,10 +514,14 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
 
 
 def _sum_scaled(values: np.ndarray, round_up: bool = False) -> np.ndarray:
-    """Exact directed cumulative averages via 2^53-scaled integers."""
+    """Directed cumulative averages: each value times 2^53 rounded down (up)
+    to an integer, summed exactly, and each sum over (i + 1) 2^53 rounded
+    down (up) to a double."""
     rounded = math.ceil if round_up else math.floor
     sums = accumulate(rounded(v * (1 << 53)) for v in values)
-    return np.array([acc / (1 << 53) / (i + 1) for i, acc in enumerate(sums)], dtype=float)
+    return np.array(
+        [dyadic.quotient_float(acc, (i + 1) << 53, round_up) for i, acc in enumerate(sums)], dtype=float
+    )
 
 
 # ---------------------------------------------------------------------------

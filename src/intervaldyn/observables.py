@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import dyadic
 from .branch import as_fraction, poly_derive, poly_eval_float, poly_eval_fraction
 
 
@@ -35,7 +36,7 @@ class Observable:
                 self._vertex = None
                 if len(self.coeffs) == 3 and self.coeffs[2] != 0:
                     v = -self.coeffs[1] / (2 * self.coeffs[2])
-                    self._vertex = (v.numerator, v.denominator, float(self.value_exact(v)))
+                    self._vertex = (v.numerator, v.denominator, self.value_exact(v))
         elif kind == "pwl":
             xs, ys = data
             if len(xs) != len(ys):
@@ -112,9 +113,9 @@ class Observable:
             return min(vals) - as_fraction(slack), max(vals) + as_fraction(slack)
         return min(vals), max(vals)
 
-    def _value_at(self, x: float) -> float:
-        """phi(x) for a double x = m / 2^e: the integer sum N_k m^k 2^(e (d - k))
-        over D 2^(e d), rounded to the nearest double."""
+    def _value_at(self, x: float) -> tuple[int, int]:
+        """phi(x) for a double x = m / 2^e, exactly: the integer sum
+        N_k m^k 2^(e (d - k)) and its denominator D 2^(e d)."""
         m, q = x.as_integer_ratio()
         e = q.bit_length() - 1
         nums, den = self._scaled
@@ -122,27 +123,32 @@ class Observable:
         acc = nums[-1]
         for k in range(d - 1, -1, -1):
             acc = acc * m + (nums[k] << (e * (d - k)))
-        return acc / (den << (e * d))
+        return acc, den << (e * d)
 
     def bounds(self, lo: float, hi: float) -> tuple[float, float]:
-        """The least and the greatest value of phi on [lo, hi], lo <= hi
-        doubles, as the doubles nearest to them.
+        """Doubles at or below the least value and at or above the greatest
+        value of phi on [lo, hi], for doubles lo <= hi: the largest and the
+        smallest such doubles, except for range_on's slack at degree > 2.
 
         A polynomial of degree <= 2 takes one exact integer evaluation per
         end, plus its vertex when that lies inside; any other observable
         goes through ``range_on``.
         """
         if self.kind != "poly" or self._scaled is None:
-            blo, bhi = self.range_on(Fraction(lo), Fraction(hi))
-            return float(blo), float(bhi)
-        vals = [self._value_at(lo), self._value_at(hi)]
-        if self._vertex is not None:
-            vn, vd, fv = self._vertex
-            mlo, qlo = lo.as_integer_ratio()
-            mhi, qhi = hi.as_integer_ratio()
-            if mlo * vd < vn * qlo and vn * qhi < mhi * vd:
-                vals.append(fv)
-        return min(vals), max(vals)
+            vals = [(v.numerator, v.denominator) for v in self.range_on(Fraction(lo), Fraction(hi))]
+        else:
+            vals = [self._value_at(lo), self._value_at(hi)]
+            if self._vertex is not None:
+                vn, vd, fv = self._vertex
+                mlo, qlo = lo.as_integer_ratio()
+                mhi, qhi = hi.as_integer_ratio()
+                if mlo * vd < vn * qlo and vn * qhi < mhi * vd:
+                    vals.append((fv.numerator, fv.denominator))
+        # rounding is monotone: the least rounded-down value rounds the least value down
+        return (
+            min(dyadic.quotient_float(n, d) for n, d in vals),
+            max(dyadic.quotient_float(n, d, round_up=True) for n, d in vals),
+        )
 
     def range_global(self) -> tuple[float, float]:
         lo, hi = self.range_on(0, 1)

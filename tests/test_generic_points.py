@@ -52,11 +52,14 @@ def doubling_witness(doubling_map):
 # rounding subnormal results in their own direction: the forward pass had
 # bounded positive observable values near 0 from above by 0.0.  The upper
 # envelope at the last three checkpoints rose by at most 8.4e-17, and
-# nothing else moved.
+# nothing else moved.  All three were re-recorded again when the observable
+# bounds of the forward pass and the cumulative averages began rounding down
+# and up instead of to nearest: every envelope value moved outward by at most
+# 1 ulp, a phase mark by at most 2, and nothing moved inward.
 WITNESS_DIGESTS = {
-    "tent2": "282851900c44f9ab1a9a1d0643a65c2db112321d9a55d8a1404d914e8ee3e37b",
-    "logistic4": "2b1d1dae926cdfd27fe6a5e09e08d31befdc36ac094942f41415c30478fe07db",
-    "doubling": "7c53bba92f323296dfdcf096244c53cc9de82c452f5ca972cc83dbcf630d5fc8",
+    "tent2": "90879203f7f7d7added42e5da0e1022701e72391326ee32fbbc5755fbea1c395",
+    "logistic4": "5f5e5b91edb8814b6229b7d14ae9b19443058fb62b8a6e15bbdc7d14f87ba370",
+    "doubling": "78cfa1754fcdb0f9f74ecc0baf6d740dfbb5557e44e409c6305d0df334a5073b",
 }
 
 
@@ -181,6 +184,38 @@ def test_constant_observable_envelope(logistic4):
     )
     assert np.allclose(w.envelope_lo, 0.4, atol=1e-12)
     assert np.allclose(w.envelope_hi, 0.4, atol=1e-12)
+
+
+def test_constant_observable_envelope_encloses_its_value(logistic4):
+    # 2/5 is no double: the envelope must hold it exactly, and the certified
+    # sup (a lower bound) and inf (an upper bound) must not pass it
+    kappa = Fraction(2, 5)
+    w = construct_historic_point(
+        logistic4, FULL, Observable.constant(kappa), (0.75,), (0.0,), stages=1,
+        check_transitivity=False, _single_phase=True,
+    )
+    assert all(Fraction(lo) <= kappa <= Fraction(hi) for lo, hi in zip(w.envelope_lo, w.envelope_hi))
+    assert Fraction(w.certified_sup) <= kappa <= Fraction(w.certified_inf)
+
+
+def test_sum_scaled_rounds_each_average_outward():
+    # each average is the nearest double on its side of the exact quotient of
+    # the scaled sum, and so on its side of the exact average of the values
+    values = np.random.default_rng(7).random(1000)
+    values[::7] *= 2.0**-60  # values with bits below 2^-53
+    for round_up in (False, True):
+        rounded = math.ceil if round_up else math.floor
+        acc, exact = 0, Fraction(0)
+        for i, avg in enumerate(generic_points._sum_scaled(values, round_up)):
+            acc += rounded(values[i] * (1 << 53))
+            exact += Fraction(values[i])
+            quotient = Fraction(acc, (i + 1) << 53)
+            if round_up:
+                assert Fraction(math.nextafter(avg, -math.inf)) < quotient <= Fraction(avg)
+                assert exact / (i + 1) <= Fraction(avg)
+            else:
+                assert Fraction(avg) <= quotient < Fraction(math.nextafter(avg, math.inf))
+                assert Fraction(avg) <= exact / (i + 1)
 
 
 def test_zero_stage_witness(logistic4):
@@ -434,9 +469,13 @@ UNIT_FLOATS = st.floats(0, 1) | st.floats(0, 1e-300)
 
 @settings(derandomize=True, deadline=None)
 @given(OBSERVABLE_COEFFS, UNIT_FLOATS, UNIT_FLOATS)
-def test_observable_bounds_match_range_on(coeffs, a, b):
-    # one integer evaluation per end, and the vertex when it lies inside
+def test_observable_bounds_round_range_on_outward(coeffs, a, b):
+    # one integer evaluation per end, and the vertex when it lies inside:
+    # the nearest doubles below and above range_on's exact least and
+    # greatest values
     phi = Observable.poly(coeffs)
     lo, hi = min(a, b), max(a, b)
-    blo, bhi = phi.range_on(Fraction(lo), Fraction(hi))
-    assert phi.bounds(lo, hi) == (float(blo), float(bhi))
+    least, greatest = phi.range_on(Fraction(lo), Fraction(hi))
+    flo, fhi = phi.bounds(lo, hi)
+    assert Fraction(flo) <= least < Fraction(math.nextafter(flo, math.inf))
+    assert Fraction(math.nextafter(fhi, -math.inf)) < greatest <= Fraction(fhi)
