@@ -30,7 +30,8 @@ step is close enough to finish exactly (``_BranchArith.isqrt``), and calls
 ``math.isqrt`` otherwise.  The chain builds each shadow ball once per
 precision and floor, and reuses the value at an end it was clipped to.  The
 forward pass bounds phi by exact integer evaluations at the interval's two
-float ends (``Observable.bounds``).
+float ends (``Observable.bounds``), rounded outward, and the cumulative
+averages are rounded outward from exact integer sums (``_sum_scaled``).
 """
 
 from __future__ import annotations

@@ -28,9 +28,8 @@ class Observable:
             self._fd = tuple(float(c) for c in poly_derive(self.coeffs))
             self._scaled = None
             if len(self.coeffs) <= 3:
-                # phi = sum N_k x^k / D over the common denominator D, and its
-                # vertex v = vn / vd (vd > 0) with phi(v) when that is a minimum
-                # or a maximum
+                # phi = sum N_k x^k / D over the common denominator D, and
+                # for a quadratic its vertex v = vn / vd (vd > 0) and phi(v)
                 den = math.lcm(*(c.denominator for c in self.coeffs))
                 self._scaled = (tuple(int(c * den) for c in self.coeffs), den)
                 self._vertex = None
@@ -139,11 +138,11 @@ class Observable:
         else:
             vals = [self._value_at(lo), self._value_at(hi)]
             if self._vertex is not None:
-                vn, vd, fv = self._vertex
+                vn, vd, top = self._vertex
                 mlo, qlo = lo.as_integer_ratio()
                 mhi, qhi = hi.as_integer_ratio()
                 if mlo * vd < vn * qlo and vn * qhi < mhi * vd:
-                    vals.append((fv.numerator, fv.denominator))
+                    vals.append((top.numerator, top.denominator))
         # rounding is monotone: the least rounded-down value rounds the least value down
         return (
             min(dyadic.quotient_float(n, d) for n, d in vals),
