@@ -136,8 +136,8 @@ class _BranchArith:
         bits of s, t exceeds the root by a few units at most (Brent and
         Zimmermann, Modern Computer Arithmetic, 2010, 1.5), and
         n - t^2 = (n - s^2) - 2 s q - q^2 needs no squaring, so unit steps
-        down on it make t exact.  Otherwise, after a fall in precision for
-        one, it calls ``math.isqrt``.
+        down on it make t exact.  Otherwise, as after a fall in precision,
+        it calls ``math.isqrt``.
         """
         last = self._root
         if last is not None and last[0] <= p and last[1] and n:

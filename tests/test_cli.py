@@ -371,13 +371,13 @@ def test_bad_eps_exits_2(tmp_path, spec_logistic32, capsys, eps):
         (["entropy", "--nmax", "3"], "argument --nmax: 3 is less than 8"),
         (["returnmap", "--interval", "0.5:0.2"], "argument --interval: 0.5:0.2 is not an interval inside [0, 1]"),
         (["returnmap", "--interval", "abc"], "argument --interval: abc is not lo:hi"),
-        (["--horizon", "20000", "returnmap"], "argument --horizon: returnmap searches at most 10000 steps, got 20000"),
         (["returnmap", "--interval", "0:2"], "argument --interval: 0:2 is not an interval inside [0, 1]"),
         (["stats", "--window", "0.5"], "argument --window: 0.5 is not lo:hi"),
         (["stats", "--phi", "poly:a"], "argument --phi: 'poly:a' is not an observable"),
         (["stats", "--phi", "foo"], "argument --phi: 'foo' is not an observable"),
         (["stats", "--phi", "pwl:0,1;0"], "2 piecewise-linear nodes but 1 values"),
         (["historic", "--stages", "-1"], "argument --stages: -1 is less than 0"),
+        (["--horizon", "20000", "returnmap"], "argument --horizon: returnmap searches at most 10000 steps, got 20000"),
     ],
 )
 def test_bad_arguments_exit_2(tmp_path, spec_logistic32, capsys, argv, message):
