@@ -27,15 +27,14 @@ class Observable:
             self.fcoeffs = tuple(float(c) for c in self.coeffs)
             self._fd = tuple(float(c) for c in poly_derive(self.coeffs))
             self._scaled = None
+            self._vertex = None  # (v, phi(v)) for the vertex v of a quadratic
             if len(self.coeffs) <= 3:
-                # phi = sum N_k x^k / D over the common denominator D, and
-                # for a quadratic its vertex v = vn / vd (vd > 0) and phi(v)
+                # phi = sum N_k x^k / D over the common denominator D
                 den = math.lcm(*(c.denominator for c in self.coeffs))
                 self._scaled = (tuple(int(c * den) for c in self.coeffs), den)
-                self._vertex = None
                 if len(self.coeffs) == 3 and self.coeffs[2] != 0:
                     v = -self.coeffs[1] / (2 * self.coeffs[2])
-                    self._vertex = (v.numerator, v.denominator, self.value_exact(v))
+                    self._vertex = (v, self.value_exact(v))
         elif kind == "pwl":
             xs, ys = data
             if len(xs) != len(ys):
@@ -97,13 +96,8 @@ class Observable:
             vals = [self.value_exact(lo), self.value_exact(hi)]
             vals += [y for x, y in zip(self.xs, self.ys) if lo < x < hi]
             return min(vals), max(vals)
-        vals = [self.value_exact(lo), self.value_exact(hi)]
-        deg = len(self.coeffs) - 1
-        if deg == 2 and self.coeffs[2] != 0:
-            vertex = -self.coeffs[1] / (2 * self.coeffs[2])
-            if lo < vertex < hi:
-                vals.append(self.value_exact(vertex))
-        elif deg > 2:
+        vals = [self.value_exact(lo), self.value_exact(hi)] + self._vertex_inside(lo, hi)
+        if len(self.coeffs) > 3:
             n = 64
             for k in range(1, n):
                 t = lo + (hi - lo) * Fraction(k, n)
@@ -111,6 +105,13 @@ class Observable:
             slack = self.lipschitz() * float(hi - lo) / n
             return min(vals) - as_fraction(slack), max(vals) + as_fraction(slack)
         return min(vals), max(vals)
+
+    def _vertex_inside(self, lo, hi) -> list[Fraction]:
+        """[phi(v)] for the vertex v of a quadratic phi when lo < v < hi, else [].
+        lo and hi are Fractions or doubles; either compares exactly with v."""
+        if self._vertex is None or not lo < self._vertex[0] < hi:
+            return []
+        return [self._vertex[1]]
 
     def _value_at(self, x: float) -> tuple[int, int]:
         """phi(x) for a double x = m / 2^e, exactly: the integer sum
@@ -137,12 +138,7 @@ class Observable:
             vals = [(v.numerator, v.denominator) for v in self.range_on(Fraction(lo), Fraction(hi))]
         else:
             vals = [self._value_at(lo), self._value_at(hi)]
-            if self._vertex is not None:
-                vn, vd, top = self._vertex
-                mlo, qlo = lo.as_integer_ratio()
-                mhi, qhi = hi.as_integer_ratio()
-                if mlo * vd < vn * qlo and vn * qhi < mhi * vd:
-                    vals.append((top.numerator, top.denominator))
+            vals += [(v.numerator, v.denominator) for v in self._vertex_inside(lo, hi)]
         # rounding is monotone: the least rounded-down value rounds the least value down
         return (
             min(dyadic.quotient_float(n, d) for n, d in vals),

@@ -469,13 +469,19 @@ UNIT_FLOATS = st.floats(0, 1) | st.floats(0, 1e-300)
 
 @settings(derandomize=True, deadline=None)
 @given(OBSERVABLE_COEFFS, UNIT_FLOATS, UNIT_FLOATS)
-def test_observable_bounds_round_range_on_outward(coeffs, a, b):
-    # one integer evaluation per end, and the vertex when it lies inside:
-    # the nearest doubles below and above range_on's exact least and
-    # greatest values
+def test_observable_bounds_are_the_nearest_doubles_outside_the_range(coeffs, a, b):
+    # the nearest doubles below and above the exact least and greatest
+    # values, taken here at the ends and at the vertex when it lies inside;
+    # range_on gives the same exact values
     phi = Observable.poly(coeffs)
     lo, hi = min(a, b), max(a, b)
-    least, greatest = phi.range_on(Fraction(lo), Fraction(hi))
+    c = [Fraction(v) for v in coeffs]
+    points = [Fraction(lo), Fraction(hi)]
+    if len(c) == 3 and c[2] != 0 and lo < -c[1] / (2 * c[2]) < hi:
+        points.append(-c[1] / (2 * c[2]))
+    values = [sum(ck * x**k for k, ck in enumerate(c)) for x in points]
+    least, greatest = min(values), max(values)
+    assert phi.range_on(Fraction(lo), Fraction(hi)) == (least, greatest)
     flo, fhi = phi.bounds(lo, hi)
     assert Fraction(flo) <= least < Fraction(math.nextafter(flo, math.inf))
     assert Fraction(math.nextafter(fhi, -math.inf)) < greatest <= Fraction(fhi)
