@@ -172,9 +172,7 @@ def cmd_attractors(pmap, args) -> int:
     report = basin_census(
         pmap, args.samples, seed=args.seed, horizon=args.horizon, eps=args.eps
     )
-    doc = json.loads(report.to_json())
-    doc["config_hash"] = _config_hash(args)
-    _write(args, "census.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write(args, "census.json", _json_doc(args, json.loads(report.to_json())))
     if args.format in ("svg", "all"):
         _write(
             args,
@@ -204,10 +202,7 @@ def cmd_entropy(pmap, args) -> int:
 
 def cmd_decompose(pmap, args) -> int:
     est = decompose(pmap, args.eps)
-    doc = json.loads(est.to_json())
-    doc["config_hash"] = _config_hash(args)
-    doc["seed"] = args.seed
-    _write(args, "components.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write(args, "components.json", _json_doc(args, json.loads(est.to_json())))
     if args.format in ("svg", "all"):
         _write(args, "components.svg", viz.cell_classes(est, _meta(args)))
     return 0
@@ -335,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--eps", type=_eps, default=2.0**-12)
     ap.add_argument(
         "--horizon", type=_at_least(1), default=None,
-        help=f"orbit length (default {HORIZON}); for returnmap the longest return "
-        f"time searched (default {RETURN_HORIZON}, at most {MAX_RETURN_HORIZON})",
+        help=f"orbit length (default {HORIZON}); a lorenz orbit runs on the 41 000-bit "
+        f"engine at about 40 us a step, so the default takes about 40 s; for returnmap "
+        f"the longest return time searched (default {RETURN_HORIZON}, at most {MAX_RETURN_HORIZON})",
     )
     ap.add_argument("--format", choices=["csv", "json", "svg", "all"], default="all")
     sub = ap.add_subparsers(dest="command", required=True)

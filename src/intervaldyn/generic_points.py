@@ -708,14 +708,13 @@ class WitnessReport:
     horizon: int
 
 
-def replay_positions(pmap: PiecewiseMap, witness: NestedWitness, n: int | None = None) -> np.ndarray:
+def replay_positions(pmap: PiecewiseMap, witness: NestedWitness) -> np.ndarray:
     """The witness midpoint's orbit positions at the witness working precision."""
-    horizon = min(n or witness.total_steps, witness.total_steps)
     # each step rounds down; the error is absorbed by the tube slack
-    return _dyadic_orbit(pmap, witness.midpoint(), horizon - 1, witness.precision_bits)
+    return _dyadic_orbit(pmap, witness.midpoint(), witness.total_steps - 1, witness.precision_bits)
 
 
-def verify_witness(pmap: PiecewiseMap, witness: NestedWitness, n: int | None = None,
+def verify_witness(pmap: PiecewiseMap, witness: NestedWitness,
                    phi: Observable | None = None, gap_tol: float = 0.25) -> WitnessReport:
     """Replay the witness midpoint at working precision and check the envelope.
 
@@ -723,16 +722,14 @@ def verify_witness(pmap: PiecewiseMap, witness: NestedWitness, n: int | None = N
     inside the stored envelope; an excursion raises EnvelopeViolation.
     """
     phi = phi or Observable.identity()
-    horizon = min(n or witness.total_steps, witness.total_steps)
-    vals = phi(replay_positions(pmap, witness, horizon))
+    horizon = witness.total_steps
+    vals = phi(replay_positions(pmap, witness))
     series = series_from_values(vals, phi.name)
     csum = np.cumsum(vals)
     partial = csum / np.arange(1, horizon + 1)
     violations = 0
     slack = 1e-9 + 2.0 ** (9 - min(witness.precision_bits, 512))
     for t, lo, hi in zip(witness.envelope_times, witness.envelope_lo, witness.envelope_hi):
-        if t > horizon:
-            continue
         v = partial[t - 1]
         if v < lo - slack or v > hi + slack:
             violations += 1

@@ -234,19 +234,16 @@ class PiecewiseMap:
 
     # -- interval arithmetic -------------------------------------------------------
 
+    def pieces(self, lo: float, hi: float) -> list[tuple[float, float, int]]:
+        """(a, b, branch index) for the nonempty pieces of [lo, hi] between
+        interior breakpoints; lo and hi are taken as given, not clamped."""
+        cuts = [lo] + [b for b in self._interior_breaks if lo < b < hi] + [hi]
+        return [(a, b, self.branch_index(0.5 * (a + b))) for a, b in zip(cuts, cuts[1:]) if b > a]
+
     def interval_image(self, lo: float, hi: float, margin: float = 0.0) -> list[tuple[float, float]]:
         """Outward-rounded image of [lo,hi]; split at breakpoints, one-sided at cuts."""
         lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if lo > hi:
-            return []
-        cuts = [lo] + [b for b in self._interior_breaks if lo < b < hi] + [hi]
-        out = []
-        for a, b in zip(cuts, cuts[1:]):
-            if b - a <= 0:
-                continue
-            br = self.branches[self.branch_index(0.5 * (a + b))]
-            out.append(br.interval_image(a, b, margin))
-        return out
+        return [self.branches[i].interval_image(a, b, margin) for a, b, i in self.pieces(lo, hi)]
 
     # -- diagnostics ------------------------------------------------------------------
 

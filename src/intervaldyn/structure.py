@@ -4,7 +4,11 @@ lap-number entropy, strong transitivity and the Birkhoff maximum oracle.
 Everything here is driven by symbolic branch itineraries: a word
 (i_0, ..., i_{q-1}) names the composition of branches i_0 then i_1 ...,
 whose domain is an exact interval obtained by monotone pullback.  This
-keeps f^q decompositions certified without naive root searching.
+keeps f^q decompositions certified without naive root searching.  One
+enumeration, ``_word_levels``, builds the words and domains level by level
+for both ``periodic_orbits`` and the float homterval search, and
+``PiecewiseMap.pieces`` is the one split at breakpoints for interval images
+and return maps.
 """
 
 from __future__ import annotations
@@ -58,6 +62,29 @@ def word_domain(pmap: PiecewiseMap, word: tuple[int, ...]) -> tuple[float, float
     for idx in reversed(word[:-1]):
         dom = _pull(pmap, idx, dom)
     return dom
+
+
+def _word_levels(pmap: PiecewiseMap, n: int, min_width: float):
+    """The words of lengths 1, ..., n, one level at a time: yields each
+    level's words, all branches at length 1 and after that those whose
+    domains are wider than min_width, with the dict of the level's domains
+    (None where empty).  Only the kept words are extended to the next level.
+    """
+    doms = {(i,): (b.flo, b.fhi) for i, b in enumerate(pmap.branches)}
+    words = list(doms)
+    yield words, doms
+    for _ in range(n - 1):
+        # w + (i,) pulls back the domain of its suffix, found among this
+        # level's domains unless w[1:] was too thin to keep
+        nxt = {}
+        for w in words:
+            for i in range(len(pmap.branches)):
+                v = w[1:] + (i,)
+                dom = doms[v] if v in doms else word_domain(pmap, v)
+                nxt[w + (i,)] = _pull(pmap, w[0], dom)
+        doms = nxt
+        words = [w for w, d in doms.items() if d is not None and d[1] - d[0] > min_width]
+        yield words, doms
 
 
 def word_eval(pmap: PiecewiseMap, word: tuple[int, ...], x: float) -> float:
@@ -185,14 +212,11 @@ def periodic_orbits(
     flagged: they are the one-sided periodic-like candidates.
     """
     observables = observables or []
-    nb = len(pmap.branches)
     step = _BranchTable.of(pmap).stepper()
     fix_counts: dict[int, int] = {}
     orbits: list[PeriodicOrbit] = []
     known_points: list[tuple[float, int]] = []  # sorted (point, period), for dedupe
-    doms = {(i,): (b.flo, b.fhi) for i, b in enumerate(pmap.branches)}
-    words = list(doms)
-    for q in range(1, Q + 1):
+    for q, (words, doms) in enumerate(_word_levels(pmap, Q, 1e-14), 1):
         fix_count = 0
         level = _level_roots(pmap, step, words, [doms[w] for w in words], q)
         for word, roots in zip(words, level):
@@ -234,17 +258,6 @@ def periodic_orbits(
                 for p in pts:
                     insort(known_points, (p, q))
         fix_counts[q] = fix_count
-        if q < Q:
-            # w + (i,) pulls back the domain of its suffix, found among this
-            # level's candidates unless w[1:] was too thin to keep
-            nxt = {}
-            for w in words:
-                for i in range(nb):
-                    v = w[1:] + (i,)
-                    dom = doms[v] if v in doms else word_domain(pmap, v)
-                    nxt[w + (i,)] = _pull(pmap, w[0], dom)
-            doms = nxt
-            words = [w for w, d in doms.items() if d is not None and d[1] - d[0] > 1e-14]
     return PeriodicOrbitTable(Q, orbits, fix_counts)
 
 
@@ -285,10 +298,14 @@ class ReturnMap:
         }
 
 
-def _invert_word(pmap: PiecewiseMap, word: tuple[int, ...], y: float) -> float:
+def _pull_window(pmap: PiecewiseMap, word: tuple[int, ...], wlo, whi, lo, hi):
+    """The part of [lo, hi] that the word sends onto [wlo, whi]: both ends
+    inverted through the word, sorted and clipped to [lo, hi]."""
+    ends = [wlo, whi]
     for idx in reversed(word):
-        y = pmap.branches[idx].inverse(y)
-    return y
+        ends = [pmap.branches[idx].inverse(y) for y in ends]
+    x1, x2 = sorted(ends)
+    return max(x1, lo), min(x2, hi)
 
 
 def first_return_map(
@@ -310,7 +327,7 @@ def first_return_map(
     residual = 0.0
     # worklist entries: (dom_lo, dom_hi, word, img_lo, img_hi)
     work = []
-    for lo, hi, idx in _split_at_breaks(pmap, a, b):
+    for lo, hi, idx in pmap.pieces(a, b):
         img = pmap.branches[idx].interval_image(lo, hi)
         work.append((lo, hi, (idx,), img[0], img[1]))
     while work:
@@ -324,11 +341,7 @@ def first_return_map(
         for wlo, whi, inside in windows:
             if whi - wlo <= 1e-15:
                 continue
-            x1 = _invert_word(pmap, word, wlo)
-            x2 = _invert_word(pmap, word, whi)
-            if x1 > x2:
-                x1, x2 = x2, x1
-            x1, x2 = max(x1, dom_lo), min(x2, dom_hi)
+            x1, x2 = _pull_window(pmap, word, wlo, whi, dom_lo, dom_hi)
             if x2 - x1 <= 0:
                 continue
             if inside:
@@ -344,27 +357,13 @@ def first_return_map(
             if t >= horizon:
                 residual += x2 - x1
                 continue
-            for plo, phi_, idx in _split_at_breaks(pmap, wlo, whi):
+            for plo, phi_, idx in pmap.pieces(wlo, whi):
                 nlo, nhi = pmap.branches[idx].interval_image(plo, phi_)
-                y1 = _invert_word(pmap, word, plo)
-                y2 = _invert_word(pmap, word, phi_)
-                if y1 > y2:
-                    y1, y2 = y2, y1
-                y1, y2 = max(y1, x1), min(y2, x2)
+                y1, y2 = _pull_window(pmap, word, plo, phi_, x1, x2)
                 if y2 - y1 > 0:
                     work.append((y1, y2, word + (idx,), nlo, nhi))
     branches_out.sort(key=lambda rb: rb.domain[0])
     return ReturnMap((a, b), branches_out, residual, horizon)
-
-
-def _split_at_breaks(pmap: PiecewiseMap, lo: float, hi: float):
-    """(lo, hi) split at interior breakpoints, tagged with the branch index."""
-    pts = [lo] + [c for c in pmap.fbreaks[1:-1] if lo < c < hi] + [hi]
-    out = []
-    for p, q in zip(pts, pts[1:]):
-        if q - p > 1e-15:
-            out.append((p, q, pmap.branch_index(0.5 * (p + q))))
-    return out
 
 
 def _cut_window(img_lo, img_hi, a, b):
@@ -401,52 +400,26 @@ class HomtervalVerdict:
 
 
 def find_homtervals(pmap: PiecewiseMap, n: int, min_len: float) -> list[tuple[float, float]]:
-    """Maximal intervals of length >= min_len whose first n images avoid C.
+    """Intervals wider than min_len whose first n images avoid C.
 
-    Pieces whose domain drops below min_len are discarded (they can only
-    shrink further), which bounds the work for expanding maps.  Increasing
-    dyadic-affine maps use exact mantissa pullbacks: their float-parameter
-    shadow is a different map, and backward float error is amplified by the
-    inverse slopes.
+    These are the domains of the branch words of length n + 1 (the word
+    levels of ``periodic_orbits``), so neighbours meet at the preimages of
+    C.  A non-critical breakpoint also splits the domains at its preimages:
+    they are C-free but not maximal.  Words whose domain is no wider than
+    min_len are not extended (their extensions can only be thinner), which
+    bounds the work for expanding maps.  Increasing dyadic-affine maps use
+    exact mantissa pullbacks: their float-parameter shadow is a different
+    map, and backward float error is amplified by the inverse slopes.
     """
     if pmap.dyadic_affine and all(b.coeffs[1] > 0 for b in pmap.branches):
+        # not the word levels: they take the domain of a word whose suffix
+        # was thinner than min_len from ``word_domain``, a pullback through
+        # the whole word, which in mantissas is quadratic in big-integer
+        # pullbacks at n = 10 000
         return _find_homtervals_dyadic(pmap, n, min_len)
-    pieces = [
-        (lo, hi, (idx,)) for lo, hi, idx in _split_at_breaks(pmap, 0.0, 1.0)
-    ]
-    for _ in range(n):
-        nxt = []
-        for lo, hi, word in pieces:
-            if hi - lo < min_len:
-                continue
-            img_lo, img_hi = _word_image(pmap, word, lo, hi)
-            cuts = [c for c in pmap.fcritical if img_lo + 1e-14 < c < img_hi - 1e-14]
-            if not cuts:
-                idx = pmap.branch_index(0.5 * (img_lo + img_hi))
-                nxt.append((lo, hi, word + (idx,)))
-                continue
-            edges = [img_lo] + cuts + [img_hi]
-            for wlo, whi in zip(edges, edges[1:]):
-                if whi - wlo <= 1e-14:
-                    continue
-                x1, x2 = _invert_word(pmap, word, wlo), _invert_word(pmap, word, whi)
-                if x1 > x2:
-                    x1, x2 = x2, x1
-                x1, x2 = max(x1, lo), min(x2, hi)
-                if x2 - x1 >= min_len:
-                    idx = pmap.branch_index(0.5 * (wlo + whi))
-                    nxt.append((x1, x2, word + (idx,)))
-        pieces = nxt
-        if not pieces:
-            break
-    return sorted((lo, hi) for lo, hi, _ in pieces)
-
-
-def _word_image(pmap, word, lo, hi):
-    """Image interval of [lo,hi] under the word composition (monotone)."""
-    for idx in word:
-        lo, hi = pmap.branches[idx].interval_image(lo, hi)
-    return lo, hi
+    for words, doms in _word_levels(pmap, n + 1, min_len):
+        pass  # to the last level, the words of length n + 1
+    return sorted(doms[w] for w in words)
 
 
 def _find_homtervals_dyadic(pmap: PiecewiseMap, n: int, min_len: float):

@@ -7,6 +7,7 @@ import pytest
 
 from intervaldyn import Observable, PiecewiseMap, poly_branch, catalog, structure
 from intervaldyn.errors import DegenerateFamily
+from intervaldyn.maps import MINUS, PLUS
 from intervaldyn.mapspec import parse_mapspec
 from intervaldyn.structure import (
     PeriodicOrbit,
@@ -307,6 +308,63 @@ def test_homtervals_of_a_contraction_start_at_zero():
         critical=[h],
     )
     assert find_homtervals(pmap, 3, 0.01) == [(0.0, 0.5), (0.5, 1.0)]
+
+
+def _side_codes(pmap, xs, n):
+    """Row k holds the gap of C that f^k(x) lies in, for k = 0, ..., n and
+    each x of the array xs (plain-polynomial branches)."""
+    crit, breaks = np.array(pmap.fcritical), np.array(pmap.fbreaks[1:-1])
+    codes = np.empty((n + 1, xs.size), dtype=np.int8)
+    y = np.array(xs, dtype=float)
+    for k in range(n + 1):
+        codes[k] = np.searchsorted(crit, y)
+        idx = np.searchsorted(breaks, y, side="right")
+        nxt = np.empty_like(y)
+        for i, b in enumerate(pmap.branches):
+            nxt[idx == i] = b.value(y[idx == i])
+        y = nxt
+    return codes
+
+
+def test_homtervals_past_a_non_critical_breakpoint(bimodal_map):
+    # bimodal localized at 4/5 has non-critical breakpoints 7/10 and 9/10;
+    # its homtervals are the runs of a fine grid on which every image up to
+    # f^10 stays on one side of C
+    q = Fraction(4, 5)
+    pmap = bimodal_map.localize(
+        keep_minus=[Fraction(1, 5)],
+        keep_plus=[Fraction(1, 5)],
+        gaps={(q, MINUS): Fraction(7, 10), (q, PLUS): Fraction(9, 10)},
+    )
+    n, min_len = 10, 0.005
+    xs = np.linspace(0.0, 1.0, 200_001)
+    codes = _side_codes(pmap, xs, n)
+    starts = np.concatenate([[0], np.flatnonzero((codes[:, 1:] != codes[:, :-1]).any(axis=0)) + 1])
+    ends = np.concatenate([starts[1:] - 1, [xs.size - 1]])
+    runs = [(xs[i], xs[j]) for i, j in zip(starts, ends) if xs[j] - xs[i] >= min_len]
+    cands = find_homtervals(pmap, n, min_len)
+    assert len(cands) == len(runs) == 5, (cands, runs)
+    step = 1.01 * xs[1]  # an end lies within one grid step of its run, up to rounding
+    for (lo, hi), (rlo, rhi) in zip(cands, runs):
+        assert abs(lo - rlo) <= step and abs(hi - rhi) <= step, ((lo, hi), (rlo, rhi))
+        inner = _side_codes(pmap, np.linspace(lo, hi, 1002)[1:-1], n)
+        assert (inner == inner[:, :1]).all(), (lo, hi)  # C-free
+
+
+def test_homtervals_meet_at_the_preimages_of_c():
+    # neighbouring word domains abut at 1/2 and at its preimages, with no
+    # gap left by a margin at C
+    pmap = catalog.logistic(Fraction(383, 100))
+    n = 12
+    cands = find_homtervals(pmap, n, 0.001)
+    shared = [hi for (_, hi), (lo, _) in zip(cands, cands[1:]) if lo == hi]
+    assert 0.5 in shared and len(shared) > 100
+    for x in shared:
+        dist = []
+        for _ in range(n + 1):
+            dist.append(abs(x - 0.5))
+            x = pmap.branches[pmap.branch_index(x)].value(x)
+        assert min(dist) < 1e-6, dist
 
 
 def test_wandering_attractor_check_lorenz(lorenz_map):
