@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=_at_least(1), default=None,
         help=f"orbit length (default {HORIZON}); a lorenz orbit runs on the 41 000-bit "
         f"engine at about 40 us a step, so the default takes about 40 s; for returnmap "
-        f"the longest return time searched (default {RETURN_HORIZON}, at most {MAX_RETURN_HORIZON})",
+        f"the longest return time searched (default {RETURN_HORIZON}, at most {MAX_RETURN_HORIZON}); "
+        f"where pieces stay outside the base its cost can grow exponentially with it",
     )
     ap.add_argument("--format", choices=["csv", "json", "svg", "all"], default="all")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -378,8 +379,9 @@ def main(argv=None) -> int:
     if args.horizon is None:
         args.horizon = RETURN_HORIZON if args.command == "returnmap" else HORIZON
     elif args.command == "returnmap" and args.horizon > MAX_RETURN_HORIZON:
-        # each piece is pulled back through its whole word at every step,
-        # so the search costs the square of the horizon
+        # the cap bounds the word length, not the cost: a piece that stays
+        # outside the base splits at every breakpoint it covers, so the
+        # search can grow exponentially with the horizon
         ap.error(f"argument --horizon: returnmap searches at most {MAX_RETURN_HORIZON} steps, got {args.horizon}")
     try:
         pmap = load_mapspec(args.map)

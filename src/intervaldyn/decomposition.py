@@ -5,16 +5,30 @@ The grid graph over-approximates the map: every true transition between
 cells is an edge (outward-rounded images, both one-sided branches at cells
 meeting the critical set), so the chain-recurrent cell set is a certified
 outer estimate of the nonwandering set.
+
+``grid_graph`` computes every cell's image range exactly, one branch at a
+time.  With eps = p/q, the values at the grid points j p/q inside a branch's
+domain are integer numerators over L q^d (L the lcm of the coefficient
+denominators, d the degree), from one homogeneous Horner pass; the two
+domain ends take ``value_exact``.  Scaled to cells, each value is M/E with
+one E > 0 per branch, and the cell rules (truncation, the open tops, the
+1e-12 noise guard) are integer comparisons.  The numerators are numpy int64
+where a bound in Python ints shows that every intermediate fits (logistic4
+at 2^-16, say), else numpy arrays of Python ints (lorenz's 40 000-bit
+intercept, the Feigenbaum lambda, a decimal eps such as 0.001, whose q is
+2^60).  A fractional exponent is evaluated point by point.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from .branch import BranchSpec
 from .cells import cells_containing, ncells, runs
 from .errors import DichotomyViolation, ResolutionTooFine
 from .maps import PiecewiseMap
@@ -56,8 +70,10 @@ class GridDynamics:
         self._rcsr = rptr, rind
 
     def targets(self, i: int) -> np.ndarray:
-        segs = [np.arange(lo, hi + 1) for lo, hi in self.ranges[i]]
-        return np.unique(np.concatenate(segs))
+        """The successors of cell i, increasing: its merged ranges are sorted
+        and neither overlap nor touch, so its CSR row is already unique."""
+        indptr, indices = self._csr
+        return indices[indptr[i] : indptr[i + 1]].copy()
 
     def has_edge(self, i: int, j: int) -> bool:
         return any(lo <= j <= hi for lo, hi in self.ranges[i])
@@ -88,6 +104,55 @@ class GridDynamics:
         return dist
 
 
+def _scaled_values(br: BranchSpec, a: Fraction, b: Fraction, j0: int, j1: int, p: int, q: int):
+    """The values of ``br`` at ``a``, at the grid points ``j * p / q`` for
+    ``j0 <= j < j1`` and at ``b``, all in its domain, in cell units (times
+    q/p): integer numerators M over one E > 0.  M is int64 when a bound in
+    Python ints shows that every intermediate fits, else Python ints."""
+    ends = br.value_exact(a), br.value_exact(b)
+    if br.exponent.denominator != 1:
+        # a float made exact at each point, so evaluated point by point
+        vals = [ends[0], *(br.value_exact(Fraction(j * p, q)) for j in range(j0, j1)), ends[1]]
+        den = math.lcm(*(v.denominator for v in vals))
+        ms = [v.numerator * (den // v.denominator) * q for v in vals]
+        return _int_array(ms, max(map(abs, ms)) + 2 * den * p), den * p
+    # grid values are (off_n D^e + sign off_d N^e) / (off_d D^e), with N the
+    # homogeneous Horner numerator of phi over D = L q^d
+    e, d = int(br.exponent), len(br.coeffs) - 1
+    lcd = math.lcm(*(c.denominator for c in br.coeffs))
+    cs = [int(c * lcd) for c in br.coeffs]
+    off_n, off_d = br.offset.numerator, br.offset.denominator
+    dpow = (lcd * q**d) ** e
+    den = math.lcm(off_d * dpow, ends[0].denominator, ends[1].denominator)
+    scale = den // (off_d * dpow) * q
+    ms = [int(v * den) * q for v in ends]
+    peak = acc = abs(cs[d])
+    for k in range(d - 1, -1, -1):  # bounds the Horner pass at the largest point
+        acc = acc * max(j1 - 1, 1) * p + abs(cs[k]) * q ** (d - k)
+        peak = max(peak, acc)
+    peak = max(peak, (abs(off_n) * dpow + off_d * acc**e) * scale, *map(abs, ms))
+    m = _int_array([0] * (j1 - j0 + 2), peak + 2 * den * p)
+    x = np.arange(j0, j1).astype(m.dtype) * p
+    acc = np.full(len(x), cs[d], dtype=m.dtype)
+    for k in range(d - 1, -1, -1):
+        acc = acc * x + cs[k] * q ** (d - k)
+    m[0], m[-1] = ms
+    m[1:-1] = (off_n * dpow + br.sign * off_d * acc**e) * scale
+    return m, den * p
+
+
+def _int_array(values, bound: int) -> np.ndarray:
+    return np.array(values, dtype=np.int64 if bound < 2**63 else object)
+
+
+def _trunc(m: np.ndarray, e: int):
+    """int() of m / e, toward zero, and the remainder of that quotient."""
+    t = m // e
+    r = m - t * e
+    up = (r != 0) & (m < 0)
+    return np.where(up, t + 1, t).astype(np.int64), np.where(up, r - e, r)
+
+
 def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
     """Directed graph on eps-cells whose edges cover every true transition.
 
@@ -98,59 +163,57 @@ def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
     between two invariant halves) must not leak an edge into the cell below,
     or separate components would merge.  Values not exactly on a boundary
     get one cell of widening whenever a float evaluation could cross it.
+
+    The work runs one branch at a time: a cell meets a branch's domain in one
+    segment, whose ends are grid points inside the domain or the domain's own
+    ends, so each grid value serves the two cells that share it.
     """
     if eps < MIN_EPS:
         raise ResolutionTooFine(f"eps={eps} below the guard {MIN_EPS}")
-    eps_fr = Fraction(eps)
-    inv = 1 / eps_fr
-    noise = Fraction(1, 10**12) * inv  # float-noise guard, in cell units
+    p, q = Fraction(eps).as_integer_ratio()
     n = ncells(eps)
-    breaks = list(pmap.breakpoints[1:-1])
     critical = set(pmap.critical)
     one = Fraction(1)
+    parts = []
+    for br in pmap.branches:
+        i0 = math.floor(br.lo * q / p)
+        i1 = min(n - 1, math.ceil(br.hi * q / p) - 1)
+        if i0 > i1:
+            continue
+        top = min(Fraction((i1 + 1) * p, q), one)  # the top of cell i1
+        b = min(top, br.hi)
+        m, den = _scaled_values(br, br.lo, b, i0 + 1, i1 + 1, p, q)
+        # openness: a critical endpoint is excluded from the domain, and
+        # the half-open cell convention excludes the cell's own top (< 1)
+        a_open = np.zeros(i1 - i0 + 1, dtype=bool)
+        a_open[0] = br.lo in critical
+        b_open = np.ones(i1 - i0 + 1, dtype=bool)
+        b_open[-1] = b in critical or (b == top and b != one)
+        inc = m[:-1] <= m[1:]
+        # open or attained: values just above a boundary sit in its cell
+        ia, r_lo = _trunc(np.where(inc, m[:-1], m[1:]), den)
+        ib, r_hi = _trunc(np.where(inc, m[1:], m[:-1]), den)
+        ib -= (r_hi == 0) & np.where(inc, b_open, a_open)
+        # float-noise guard: a value less than 1e-12 from a boundary,
+        # r / den < (1 / 10**12) * q / p, widens by one cell
+        noise = -(-den * q // (p * 10**12))
+        ia -= (r_lo != 0) & (r_lo < noise)
+        ib += (r_hi != 0) & (den - r_hi < noise)
+        parts.append((np.arange(i0, i1 + 1), np.maximum(ia, 0), np.minimum(n - 1, np.maximum(ib, ia))))
+    cells, los, his = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((his, los, cells))
+    # sort and merge the segments of each cell; only a cell holding a
+    # breakpoint has more than one
     ranges: list[list[tuple[int, int]]] = []
-    for i in range(n):
-        lo = i * eps_fr
-        hi = min((i + 1) * eps_fr, one)
-        marks = [lo] + [b for b in breaks if lo < b < hi] + [hi]
-        segs = []
-        for a, b in zip(marks, marks[1:]):
-            if b <= a:
-                continue
-            idx = pmap.branch_index(float((a + b) / 2))
-            br = pmap.branches[idx]
-            va, vb = br.value_exact(a), br.value_exact(b)
-            # openness: a critical endpoint is excluded from the domain, and
-            # the half-open cell convention excludes the cell's own top (< 1)
-            a_open = a in critical
-            b_open = b in critical or (b == hi and b != one)
-            if va <= vb:
-                vlo, vhi = va, vb
-                lo_open, hi_open = a_open, b_open
-            else:
-                vlo, vhi = vb, va
-                lo_open, hi_open = b_open, a_open
-            slo = vlo * inv
-            shi = vhi * inv
-            ia = int(slo)  # open or attained: values just above a boundary sit in its cell
-            frac_hi = shi - int(shi)
-            if frac_hi == 0 and hi_open:
-                ib = int(shi) - 1
-            else:
-                ib = int(shi)
-            if slo - ia != 0 and slo - ia < noise:
-                ia -= 1
-            if frac_hi != 0 and int(shi) + 1 - shi < noise:
-                ib += 1
-            segs.append((max(0, ia), min(n - 1, max(ib, ia))))
-        segs.sort()
-        merged = [segs[0]]
-        for a, b in segs[1:]:
-            if a <= merged[-1][1] + 1:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        ranges.append(merged)
+    prev = -1
+    for i, lo, hi in zip(cells[order].tolist(), los[order].tolist(), his[order].tolist()):
+        if i != prev:
+            ranges.append([(lo, hi)])
+            prev = i
+        elif lo <= ranges[-1][-1][1] + 1:
+            ranges[-1][-1] = (ranges[-1][-1][0], max(ranges[-1][-1][1], hi))
+        else:
+            ranges[-1].append((lo, hi))
     return GridDynamics(eps, n, ranges, pmap)
 
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intervaldyn import PiecewiseMap, catalog, poly_branch
-from intervaldyn.cells import cells_containing
+from intervaldyn.cells import cells_containing, ncells
 from intervaldyn.decomposition import (
     component_of_critical,
     decompose,
@@ -14,6 +15,9 @@ from intervaldyn.decomposition import (
     nonwandering_estimate,
 )
 from intervaldyn.errors import DichotomyViolation, ResolutionTooFine
+from intervaldyn.mapspec import parse_mapspec
+
+from test_orbit_stats import POWER_SPECS
 
 
 def halving_with_critical():
@@ -26,6 +30,165 @@ def halving_with_critical():
         critical=[h],
         name="halving-split",
     )
+
+
+def reference_ranges(pmap, eps):
+    """The target ranges of each cell by exact Fractions, cell by cell and
+    segment by segment: the scalar reference of grid_graph."""
+    eps_fr = Fraction(eps)
+    inv = 1 / eps_fr
+    noise = Fraction(1, 10**12) * inv  # float-noise guard, in cell units
+    n = ncells(eps)
+    breaks = list(pmap.breakpoints[1:-1])
+    critical = set(pmap.critical)
+    one = Fraction(1)
+    ranges = []
+    for i in range(n):
+        lo = i * eps_fr
+        hi = min((i + 1) * eps_fr, one)
+        marks = [lo] + [b for b in breaks if lo < b < hi] + [hi]
+        segs = []
+        for a, b in zip(marks, marks[1:]):
+            if b <= a:
+                continue
+            idx = pmap.branch_index(float((a + b) / 2))
+            br = pmap.branches[idx]
+            va, vb = br.value_exact(a), br.value_exact(b)
+            # openness: a critical endpoint is excluded from the domain, and
+            # the half-open cell convention excludes the cell's own top (< 1)
+            a_open = a in critical
+            b_open = b in critical or (b == hi and b != one)
+            if va <= vb:
+                vlo, vhi = va, vb
+                lo_open, hi_open = a_open, b_open
+            else:
+                vlo, vhi = vb, va
+                lo_open, hi_open = b_open, a_open
+            slo = vlo * inv
+            shi = vhi * inv
+            ia = int(slo)  # open or attained: values just above a boundary sit in its cell
+            frac_hi = shi - int(shi)
+            if frac_hi == 0 and hi_open:
+                ib = int(shi) - 1
+            else:
+                ib = int(shi)
+            if slo - ia != 0 and slo - ia < noise:
+                ia -= 1
+            if frac_hi != 0 and int(shi) + 1 - shi < noise:
+                ib += 1
+            segs.append((max(0, ia), min(n - 1, max(ib, ia))))
+        segs.sort()
+        merged = [segs[0]]
+        for a, b in segs[1:]:
+            if a <= merged[-1][1] + 1:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+            else:
+                merged.append((a, b))
+        ranges.append(merged)
+    return ranges
+
+
+# the catalog, maps with breakpoints off the dyadic grid (bimodal, zigzag3),
+# big-integer coefficients (lorenz's 40 000-bit delta, the Feigenbaum
+# lambda's float), non-dyadic slopes, the power branches, and x/2 + 2^-44,
+# whose values fit int64 at 2^-12 while their scaling to cells does not
+REFERENCE_MAPS = {
+    **{name: (lambda name=name: catalog.standard_catalog()[name]) for name in catalog.standard_catalog()},
+    "bimodal": catalog.bimodal,
+    "zigzag3": catalog.zigzag3,
+    "lorenz": catalog.lorenz,
+    "tent(3/2)": lambda: catalog.tent(Fraction(3, 2)),
+    "logistic(39/10)": lambda: catalog.logistic(Fraction(39, 10)),
+    **{
+        f"power-{i}": (lambda spec=spec: parse_mapspec(spec + "critical = 1/2\n"))
+        for i, spec in enumerate(POWER_SPECS)
+    },
+    "power-3/2": lambda: parse_mapspec(
+        "branch = (0, 10/11) : 1, -11/10 : decreasing : exp=3\n"
+        "branch = (10/11, 1) : -10, 11 : increasing : exp=3/2\n"
+        "critical = 10/11\n"
+    ),
+    "x/2 + 2^-44": lambda: PiecewiseMap(
+        [poly_branch(0, 1, (Fraction(1, 2**44), Fraction(1, 2)), "increasing")], critical=[]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_grid_graph_matches_the_scalar_reference(name):
+    pmap = REFERENCE_MAPS[name]()
+    for eps in (1 / 8, 2.0**-8, 1e-3, 3e-4, 2.0**-10, 2.0**-12):
+        assert grid_graph(pmap, eps).ranges == reference_ranges(pmap, eps), eps
+
+
+@st.composite
+def monotone_maps(draw):
+    """1-3 monotone affine or quadratic branches with rational coefficients
+    between rational breakpoints; a breakpoint is a smooth join where the
+    branch on its right continues the one on its left, else critical."""
+    cuts = draw(st.sets(st.fractions(0, 1, max_denominator=12), max_size=2))
+    ends = [Fraction(0), *sorted(cuts - {0, 1}), Fraction(1)]
+    values = st.fractions(0, 1, max_denominator=16)
+    branches, critical = [], []
+    for lo, hi in zip(ends, ends[1:]):
+        yb = draw(values)
+        if branches and yb != ya + delta and (yb > ya + delta) == (delta > 0) and draw(st.booleans()):
+            ya = ya + delta
+        else:
+            if branches:
+                critical.append(lo)
+            ya = draw(values.filter(lambda y: y != yb))
+        delta = yb - ya
+        # ya + delta * ((1 - c) t + c t^2) with t = (x - lo) / w is monotone for |c| <= 1
+        c = draw(st.one_of(st.just(Fraction(0)), st.fractions(-1, 1, max_denominator=4)))
+        w = hi - lo
+        coeffs = [
+            ya - delta * (1 - c) * lo / w + delta * c * lo**2 / w**2,
+            delta * (1 - c) / w - 2 * delta * c * lo / w**2,
+            delta * c / w**2,
+        ]
+        mono = "increasing" if delta > 0 else "decreasing"
+        branches.append(poly_branch(lo, hi, coeffs if c else coeffs[:2], mono))
+    return PiecewiseMap(branches, critical)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    pmap=monotone_maps(),
+    eps=st.one_of(st.integers(1, 12).map(lambda k: 2.0**-k), st.sampled_from([0.1, 0.03, 0.007, 1e-3])),
+)
+def test_grid_graph_follows_the_scalar_reference(pmap, eps):
+    assert grid_graph(pmap, eps).ranges == reference_ranges(pmap, eps)
+
+
+@pytest.mark.parametrize(
+    "delta, cell2, cell3",
+    [
+        (Fraction(1, 2**44), [(0, 1)], [(1, 2)]),
+        (Fraction(-1, 2**44), [(0, 1)], [(1, 2)]),
+        (Fraction(1, 2**30), [(1, 1)], [(1, 2)]),
+        (Fraction(0), [(1, 1)], [(1, 1)]),
+        (Fraction(1, 10**12), [(1, 1)], [(1, 2)]),
+        (Fraction(-1, 10**12), [(0, 1)], [(1, 1)]),
+    ],
+)
+def test_grid_graph_noise_guard_and_open_top(delta, cell2, cell3):
+    # x/2 + delta at 2^-8: the images of cells 2 and 3 are [1, 1.5] and
+    # [1.5, 2] cells plus 256 delta.  Less than 1e-12 from a boundary, not
+    # exactly 1e-12, the range widens by a cell; an exact top that is the
+    # cell's own open top drops one.  Recorded with the per-cell Fraction loop.
+    pmap = PiecewiseMap([poly_branch(0, 1, (delta, Fraction(1, 2)), "increasing")], critical=[])
+    gd = grid_graph(pmap, 2.0**-8)
+    assert (gd.ranges[2], gd.ranges[3]) == (cell2, cell3)
+
+
+def test_targets_are_the_sorted_unique_range_cells(logistic4, bimodal_map, lorenz_map):
+    for pmap in (logistic4, bimodal_map, lorenz_map):
+        gd = grid_graph(pmap, 2.0**-10)
+        for i in range(gd.ncells):
+            want = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in gd.ranges[i]]))
+            got = gd.targets(i)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (pmap.name, i)
 
 
 def test_grid_graph_doubling_eighth(doubling_map):
