@@ -379,9 +379,8 @@ def main(argv=None) -> int:
     if args.horizon is None:
         args.horizon = RETURN_HORIZON if args.command == "returnmap" else HORIZON
     elif args.command == "returnmap" and args.horizon > MAX_RETURN_HORIZON:
-        # the cap bounds the word length, not the cost: a piece that stays
-        # outside the base splits at every breakpoint it covers, so the
-        # search can grow exponentially with the horizon
+        # the cap bounds the word length, not the cost: where pieces stay
+        # outside the base, the search grows exponentially with the horizon
         ap.error(f"argument --horizon: returnmap searches at most {MAX_RETURN_HORIZON} steps, got {args.horizon}")
     try:
         pmap = load_mapspec(args.map)

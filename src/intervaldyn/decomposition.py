@@ -6,17 +6,11 @@ cells is an edge (outward-rounded images, both one-sided branches at cells
 meeting the critical set), so the chain-recurrent cell set is a certified
 outer estimate of the nonwandering set.
 
-``grid_graph`` computes every cell's image range exactly, one branch at a
-time.  With eps = p/q, the values at the grid points j p/q inside a branch's
-domain are integer numerators over L q^d (L the lcm of the coefficient
-denominators, d the degree), from one homogeneous Horner pass; the two
-domain ends take ``value_exact``.  Scaled to cells, each value is M/E with
-one E > 0 per branch, and the cell rules (truncation, the open tops, the
-1e-12 noise guard) are integer comparisons.  The numerators are numpy int64
-where a bound in Python ints shows that every intermediate fits (logistic4
-at 2^-16, say), else numpy arrays of Python ints (lorenz's 40 000-bit
-intercept, the Feigenbaum lambda, a decimal eps such as 0.001, whose q is
-2^60).  A fractional exponent is evaluated point by point.
+``grid_graph`` computes the image ranges exactly, one branch at a time: a
+Horner pass over integers gives the values at the grid points j p/q inside
+the domain over one denominator (q^d times the coefficients' lcm, for degree
+d), and each cell rule is an integer comparison.  The arrays are int64 where
+a bound in Python ints shows every intermediate fits, else Python ints.
 """
 
 from __future__ import annotations
@@ -70,8 +64,7 @@ class GridDynamics:
         self._rcsr = rptr, rind
 
     def targets(self, i: int) -> np.ndarray:
-        """The successors of cell i, increasing: its merged ranges are sorted
-        and neither overlap nor touch, so its CSR row is already unique."""
+        """Successors of cell i, increasing: the merged ranges neither overlap nor touch."""
         indptr, indices = self._csr
         return indices[indptr[i] : indptr[i + 1]].copy()
 
@@ -104,18 +97,16 @@ class GridDynamics:
         return dist
 
 
-def _scaled_values(br: BranchSpec, a: Fraction, b: Fraction, j0: int, j1: int, p: int, q: int):
-    """The values of ``br`` at ``a``, at the grid points ``j * p / q`` for
-    ``j0 <= j < j1`` and at ``b``, all in its domain, in cell units (times
-    q/p): integer numerators M over one E > 0.  M is int64 when a bound in
-    Python ints shows that every intermediate fits, else Python ints."""
-    ends = br.value_exact(a), br.value_exact(b)
+def _scaled_values(br: BranchSpec, b: Fraction, j0: int, j1: int, p: int, q: int):
+    """The values of ``br`` at its lower end, at the grid points ``j * p / q``
+    for ``j0 <= j < j1`` and at ``b``, times q/p: integer numerators M over
+    one E > 0, in int64 when a bound shows every intermediate fits."""
+    ends = br.value_exact(br.lo), br.value_exact(b)
     if br.exponent.denominator != 1:
         # a float made exact at each point, so evaluated point by point
         vals = [ends[0], *(br.value_exact(Fraction(j * p, q)) for j in range(j0, j1)), ends[1]]
         den = math.lcm(*(v.denominator for v in vals))
-        ms = [v.numerator * (den // v.denominator) * q for v in vals]
-        return _int_array(ms, max(map(abs, ms)) + 2 * den * p), den * p
+        return np.array([int(v * den) * q for v in vals], dtype=object), den * p
     # grid values are (off_n D^e + sign off_d N^e) / (off_d D^e), with N the
     # homogeneous Horner numerator of phi over D = L q^d
     e, d = int(br.exponent), len(br.coeffs) - 1
@@ -126,23 +117,17 @@ def _scaled_values(br: BranchSpec, a: Fraction, b: Fraction, j0: int, j1: int, p
     den = math.lcm(off_d * dpow, ends[0].denominator, ends[1].denominator)
     scale = den // (off_d * dpow) * q
     ms = [int(v * den) * q for v in ends]
-    peak = acc = abs(cs[d])
-    for k in range(d - 1, -1, -1):  # bounds the Horner pass at the largest point
+    acc = abs(cs[d])
+    for k in range(d - 1, -1, -1):  # the Horner pass at the largest point, increasing
         acc = acc * max(j1 - 1, 1) * p + abs(cs[k]) * q ** (d - k)
-        peak = max(peak, acc)
-    peak = max(peak, (abs(off_n) * dpow + off_d * acc**e) * scale, *map(abs, ms))
-    m = _int_array([0] * (j1 - j0 + 2), peak + 2 * den * p)
-    x = np.arange(j0, j1).astype(m.dtype) * p
-    acc = np.full(len(x), cs[d], dtype=m.dtype)
+    peak = max(acc, (abs(off_n) * dpow + off_d * acc**e) * scale, *map(abs, ms))
+    m = np.array([0] * (j1 - j0 + 2), dtype=np.int64 if peak + 2 * den * p < 2**63 else object)
+    acc = cs[d]
     for k in range(d - 1, -1, -1):
-        acc = acc * x + cs[k] * q ** (d - k)
+        acc = acc * (np.arange(j0, j1).astype(m.dtype) * p) + cs[k] * q ** (d - k)
     m[0], m[-1] = ms
     m[1:-1] = (off_n * dpow + br.sign * off_d * acc**e) * scale
     return m, den * p
-
-
-def _int_array(values, bound: int) -> np.ndarray:
-    return np.array(values, dtype=np.int64 if bound < 2**63 else object)
 
 
 def _trunc(m: np.ndarray, e: int):
@@ -163,57 +148,48 @@ def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
     between two invariant halves) must not leak an edge into the cell below,
     or separate components would merge.  Values not exactly on a boundary
     get one cell of widening whenever a float evaluation could cross it.
-
-    The work runs one branch at a time: a cell meets a branch's domain in one
-    segment, whose ends are grid points inside the domain or the domain's own
-    ends, so each grid value serves the two cells that share it.
+    A cell meets a branch's domain in one segment, so the work runs branch
+    by branch, and each grid value serves the two cells that share it.
     """
     if eps < MIN_EPS:
         raise ResolutionTooFine(f"eps={eps} below the guard {MIN_EPS}")
     p, q = Fraction(eps).as_integer_ratio()
     n = ncells(eps)
     critical = set(pmap.critical)
-    one = Fraction(1)
     parts = []
     for br in pmap.branches:
         i0 = math.floor(br.lo * q / p)
         i1 = min(n - 1, math.ceil(br.hi * q / p) - 1)
         if i0 > i1:
             continue
-        top = min(Fraction((i1 + 1) * p, q), one)  # the top of cell i1
+        top = min(Fraction((i1 + 1) * p, q), 1)  # the top of cell i1
         b = min(top, br.hi)
-        m, den = _scaled_values(br, br.lo, b, i0 + 1, i1 + 1, p, q)
+        m, den = _scaled_values(br, b, i0 + 1, i1 + 1, p, q)
         # openness: a critical endpoint is excluded from the domain, and
         # the half-open cell convention excludes the cell's own top (< 1)
-        a_open = np.zeros(i1 - i0 + 1, dtype=bool)
-        a_open[0] = br.lo in critical
-        b_open = np.ones(i1 - i0 + 1, dtype=bool)
-        b_open[-1] = b in critical or (b == top and b != one)
+        a_open = np.r_[br.lo in critical, np.zeros(i1 - i0, dtype=bool)]
+        b_open = np.r_[np.ones(i1 - i0, dtype=bool), b in critical or (b == top and b != 1)]
         inc = m[:-1] <= m[1:]
         # open or attained: values just above a boundary sit in its cell
         ia, r_lo = _trunc(np.where(inc, m[:-1], m[1:]), den)
         ib, r_hi = _trunc(np.where(inc, m[1:], m[:-1]), den)
         ib -= (r_hi == 0) & np.where(inc, b_open, a_open)
-        # float-noise guard: a value less than 1e-12 from a boundary,
+        # float-noise guard: a value less than 10^-12 from a boundary,
         # r / den < (1 / 10**12) * q / p, widens by one cell
         noise = -(-den * q // (p * 10**12))
         ia -= (r_lo != 0) & (r_lo < noise)
         ib += (r_hi != 0) & (den - r_hi < noise)
         parts.append((np.arange(i0, i1 + 1), np.maximum(ia, 0), np.minimum(n - 1, np.maximum(ib, ia))))
+    # merge each cell's sorted segments; only cells holding a breakpoint have several
     cells, los, his = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((his, los, cells))
-    # sort and merge the segments of each cell; only a cell holding a
-    # breakpoint has more than one
-    ranges: list[list[tuple[int, int]]] = []
-    prev = -1
+    ranges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, lo, hi in zip(cells[order].tolist(), los[order].tolist(), his[order].tolist()):
-        if i != prev:
-            ranges.append([(lo, hi)])
-            prev = i
-        elif lo <= ranges[-1][-1][1] + 1:
-            ranges[-1][-1] = (ranges[-1][-1][0], max(ranges[-1][-1][1], hi))
+        r = ranges[i]
+        if r and lo <= r[-1][1] + 1:
+            r[-1] = (r[-1][0], max(r[-1][1], hi))
         else:
-            ranges[-1].append((lo, hi))
+            r.append((lo, hi))
     return GridDynamics(eps, n, ranges, pmap)
 
 

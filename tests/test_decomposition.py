@@ -117,7 +117,8 @@ REFERENCE_MAPS = {
 @pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
 def test_grid_graph_matches_the_scalar_reference(name):
     pmap = REFERENCE_MAPS[name]()
-    for eps in (1 / 8, 2.0**-8, 1e-3, 3e-4, 2.0**-10, 2.0**-12):
+    finest = (2.0**-14,) if name in ("logistic4", "bimodal") else ()
+    for eps in (1 / 8, 2.0**-8, 1e-3, 3e-4, 2.0**-10, 2.0**-12, *finest):
         assert grid_graph(pmap, eps).ranges == reference_ranges(pmap, eps), eps
 
 
