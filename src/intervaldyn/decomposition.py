@@ -6,11 +6,9 @@ cells is an edge (outward-rounded images, both one-sided branches at cells
 meeting the critical set), so the chain-recurrent cell set is a certified
 outer estimate of the nonwandering set.
 
-``grid_graph`` computes the image ranges exactly, one branch at a time: a
-Horner pass over integers gives the values at the grid points j p/q inside
-the domain over one denominator (q^d times the coefficients' lcm, for degree
-d), and each cell rule is an integer comparison.  The arrays are int64 where
-a bound in Python ints shows every intermediate fits, else Python ints.
+``grid_graph`` computes the image ranges exactly, branch by branch: one
+Horner pass over integers, then integer cell rules.  The integers are int64
+where a bound in Python ints shows every intermediate fits, else Python ints.
 """
 
 from __future__ import annotations
@@ -98,9 +96,8 @@ class GridDynamics:
 
 
 def _scaled_values(br: BranchSpec, b: Fraction, j0: int, j1: int, p: int, q: int):
-    """The values of ``br`` at its lower end, at the grid points ``j * p / q``
-    for ``j0 <= j < j1`` and at ``b``, times q/p: integer numerators M over
-    one E > 0, in int64 when a bound shows every intermediate fits."""
+    """The values of ``br`` at its lower end, at ``j * p / q`` for ``j0 <= j < j1``
+    and at ``b``, times q/p: numerators M over one E > 0, int64 where they fit."""
     ends = br.value_exact(br.lo), br.value_exact(b)
     if br.exponent.denominator != 1:
         # a float made exact at each point, so evaluated point by point
@@ -148,13 +145,17 @@ def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
     between two invariant halves) must not leak an edge into the cell below,
     or separate components would merge.  Values not exactly on a boundary
     get one cell of widening whenever a float evaluation could cross it.
-    A cell meets a branch's domain in one segment, so the work runs branch
-    by branch, and each grid value serves the two cells that share it.
     """
     if eps < MIN_EPS:
         raise ResolutionTooFine(f"eps={eps} below the guard {MIN_EPS}")
-    p, q = Fraction(eps).as_integer_ratio()
     n = ncells(eps)
+    return GridDynamics(eps, n, _cell_ranges(pmap, *Fraction(eps).as_integer_ratio(), n), pmap)
+
+
+def _cell_ranges(pmap: PiecewiseMap, p: int, q: int, n: int) -> list[list[tuple[int, int]]]:
+    """The merged target ranges of the n cells of width p/q.  A cell meets a
+    branch's domain in one segment, so the work runs branch by branch, and
+    each grid value serves the two cells that share it."""
     critical = set(pmap.critical)
     parts = []
     for br in pmap.branches:
@@ -174,23 +175,22 @@ def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
         ia, r_lo = _trunc(np.where(inc, m[:-1], m[1:]), den)
         ib, r_hi = _trunc(np.where(inc, m[1:], m[:-1]), den)
         ib -= (r_hi == 0) & np.where(inc, b_open, a_open)
-        # float-noise guard: a value less than 10^-12 from a boundary,
-        # r / den < (1 / 10**12) * q / p, widens by one cell
-        noise = -(-den * q // (p * 10**12))
+        noise = -(-den * q // (p * 10**12))  # float-noise guard: r / den < q / (p 10^12) widens a cell
         ia -= (r_lo != 0) & (r_lo < noise)
         ib += (r_hi != 0) & (den - r_hi < noise)
-        parts.append((np.arange(i0, i1 + 1), np.maximum(ia, 0), np.minimum(n - 1, np.maximum(ib, ia))))
+        parts.append(np.stack((np.arange(i0, i1 + 1), np.maximum(ia, 0), np.minimum(n - 1, np.maximum(ib, ia)))))
     # merge each cell's sorted segments; only cells holding a breakpoint have several
-    cells, los, his = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((his, los, cells))
-    ranges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, lo, hi in zip(cells[order].tolist(), los[order].tolist(), his[order].tolist()):
+    segs = np.hstack(parts)
+    cells, los, his = segs[:, np.lexsort(segs[::-1])]
+    first = np.r_[True, cells[1:] != cells[:-1]]  # every cell has a segment
+    ranges = [[seg] for seg in zip(los[first].tolist(), his[first].tolist())]
+    for i, lo, hi in zip(cells[~first].tolist(), los[~first].tolist(), his[~first].tolist()):
         r = ranges[i]
-        if r and lo <= r[-1][1] + 1:
+        if lo <= r[-1][1] + 1:
             r[-1] = (r[-1][0], max(r[-1][1], hi))
         else:
             r.append((lo, hi))
-    return GridDynamics(eps, n, ranges, pmap)
+    return ranges
 
 
 def nonwandering_estimate(gd: GridDynamics) -> np.ndarray:
