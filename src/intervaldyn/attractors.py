@@ -229,8 +229,8 @@ def classify_attractor(
             )
 
     if slope >= SLOPE_INTERVAL:
-        intervals = [(s * eps, (e + 1) * eps) for s, e in runs(cells, gap=1)]
-        runs2 = runs(cellset_from_bool(mask2), gap=1)
+        intervals = [(s * eps, (e + 1) * eps) for s, e in runs(cells)]
+        runs2 = runs(cellset_from_bool(mask2))
         stable = abs(len(intervals) - len(runs2)) <= 1
         if len(intervals) <= MAX_INTERVAL_COUNT and stable:
             if _union_invariant(pmap, intervals, eps):

@@ -186,12 +186,10 @@ class BranchSpec:
             return math.nan
         return self.sign * self.fexp * abs(phi) ** (self.fexp - 1.0) * _powsign(phi, self.exponent) * dphi
 
-    def interval_image(self, lo: float, hi: float, margin: float = 0.0) -> tuple[float, float]:
-        """Image of [lo, hi] under the monotone branch, outward-rounded by margin."""
+    def interval_image(self, lo: float, hi: float) -> tuple[float, float]:
+        """Image of [lo, hi] under the monotone branch."""
         a, b = self.value(lo), self.value(hi)
-        if a > b:
-            a, b = b, a
-        return a - margin, b + margin
+        return (b, a) if a > b else (a, b)
 
     # -- inversion ------------------------------------------------------------
 

@@ -68,11 +68,11 @@ def hausdorff_cells(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(one_sided(a, b), one_sided(b, a)))
 
 
-def runs(cells: np.ndarray, gap: int = 1) -> list[tuple[int, int]]:
-    """Maximal runs [start, end] of indices with jumps < gap+1 merged."""
+def runs(cells: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs [start, end] of consecutive indices."""
     if len(cells) == 0:
         return []
-    cuts = np.flatnonzero(np.diff(cells) > gap)
+    cuts = np.flatnonzero(np.diff(cells) > 1)
     starts = np.concatenate([[0], cuts + 1])
     ends = np.concatenate([cuts, [len(cells) - 1]])
     return [(int(cells[s]), int(cells[e])) for s, e in zip(starts, ends)]

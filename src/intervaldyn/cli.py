@@ -22,7 +22,7 @@ import numpy as np
 
 from . import viz
 from .attractors import basin_census
-from .decomposition import decompose
+from .decomposition import MIN_EPS, decompose
 from .errors import IntervalDynError, MapSpecError
 from .generic_points import construct_historic_point, verify_witness
 from .mapspec import load_mapspec
@@ -382,6 +382,8 @@ def main(argv=None) -> int:
         # the cap bounds the word length, not the cost: where pieces stay
         # outside the base, the search grows exponentially with the horizon
         ap.error(f"argument --horizon: returnmap searches at most {MAX_RETURN_HORIZON} steps, got {args.horizon}")
+    if args.command == "decompose" and args.eps < MIN_EPS:
+        ap.error(f"argument --eps: decompose needs eps >= {MIN_EPS}, got {args.eps}")
     try:
         pmap = load_mapspec(args.map)
     except (MapSpecError, OSError) as exc:

@@ -7,8 +7,8 @@ meeting the critical set), so the chain-recurrent cell set is a certified
 outer estimate of the nonwandering set.
 
 ``grid_graph`` computes the image ranges exactly, branch by branch: one
-Horner pass over integers, then integer cell rules.  The integers are int64
-where a bound in Python ints shows every intermediate fits, else Python ints.
+Horner pass over Python ints, then integer cell rules.  The merged segments,
+as cell, lo and hi arrays, feed the CSR of ``GridDynamics`` directly.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -35,31 +36,37 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return offsets + np.arange(len(offsets), dtype=np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class GridDynamics:
     eps: float
     ncells: int
-    ranges: list[list[tuple[int, int]]]   # per cell: target index ranges [lo, hi]
-    pmap: PiecewiseMap
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray]  # cell, lo, hi of the merged target ranges [lo, hi]
 
     def __post_init__(self):
         # the graph does not change after construction: both adjacencies
         # and the self-loops are built here, once
         n = self.ncells
-        segs = np.array([s for r in self.ranges for s in r], dtype=np.int64).reshape(-1, 2)
-        owner = np.repeat(np.arange(n, dtype=np.int64), [len(r) for r in self.ranges])
-        widths = segs[:, 1] - segs[:, 0] + 1
-        sources = np.repeat(owner, widths)
-        indices = _concat_ranges(segs[:, 0], widths)
+        cells, los, his = self.segments
+        widths = his - los + 1
+        sources = np.repeat(cells, widths)
+        indices = _concat_ranges(los, widths)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=n))])
         rptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=n))])
         rind = sources[np.argsort(indices, kind="stable")]
         self._selfloop = np.zeros(n, dtype=bool)
-        self._selfloop[owner[(segs[:, 0] <= owner) & (owner <= segs[:, 1])]] = True
+        self._selfloop[cells[(los <= cells) & (cells <= his)]] = True
         for a in (indptr, indices, rptr, rind, self._selfloop):
             a.flags.writeable = False
         self._csr = indptr, indices
         self._rcsr = rptr, rind
+
+    @cached_property
+    def ranges(self) -> list[list[tuple[int, int]]]:
+        """Per cell, its merged target ranges [lo, hi] in increasing order."""
+        out = [[] for _ in range(self.ncells)]
+        for i, lo, hi in zip(*(a.tolist() for a in self.segments)):
+            out[i].append((lo, hi))
+        return out
 
     def targets(self, i: int) -> np.ndarray:
         """Successors of cell i, increasing: the merged ranges neither overlap nor touch."""
@@ -67,11 +74,13 @@ class GridDynamics:
         return indices[indptr[i] : indptr[i + 1]].copy()
 
     def has_edge(self, i: int, j: int) -> bool:
-        return any(lo <= j <= hi for lo, hi in self.ranges[i])
+        indptr, indices = self._csr
+        k = indptr[i] + np.searchsorted(indices[indptr[i] : indptr[i + 1]], j)
+        return bool(k < indptr[i + 1] and indices[k] == j)
 
     def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Successors in CSR form: the targets of cell i are
-        ``indices[indptr[i] : indptr[i + 1]]``, in the order of ``ranges[i]``."""
+        ``indices[indptr[i] : indptr[i + 1]]``, in increasing order."""
         return self._csr
 
     def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +106,7 @@ class GridDynamics:
 
 def _scaled_values(br: BranchSpec, b: Fraction, j0: int, j1: int, p: int, q: int):
     """The values of ``br`` at its lower end, at ``j * p / q`` for ``j0 <= j < j1``
-    and at ``b``, times q/p: numerators M over one E > 0, int64 where they fit."""
+    and at ``b``, times q/p: numerators M, as Python ints, over one E > 0."""
     ends = br.value_exact(br.lo), br.value_exact(b)
     if br.exponent.denominator != 1:
         # a float made exact at each point, so evaluated point by point
@@ -113,16 +122,12 @@ def _scaled_values(br: BranchSpec, b: Fraction, j0: int, j1: int, p: int, q: int
     dpow = (lcd * q**d) ** e
     den = math.lcm(off_d * dpow, ends[0].denominator, ends[1].denominator)
     scale = den // (off_d * dpow) * q
-    ms = [int(v * den) * q for v in ends]
-    acc = abs(cs[d])
-    for k in range(d - 1, -1, -1):  # the Horner pass at the largest point, increasing
-        acc = acc * max(j1 - 1, 1) * p + abs(cs[k]) * q ** (d - k)
-    peak = max(acc, (abs(off_n) * dpow + off_d * acc**e) * scale, *map(abs, ms))
-    m = np.array([0] * (j1 - j0 + 2), dtype=np.int64 if peak + 2 * den * p < 2**63 else object)
+    xs = np.arange(j0, j1).astype(object) * p
     acc = cs[d]
     for k in range(d - 1, -1, -1):
-        acc = acc * (np.arange(j0, j1).astype(m.dtype) * p) + cs[k] * q ** (d - k)
-    m[0], m[-1] = ms
+        acc = acc * xs + cs[k] * q ** (d - k)
+    m = np.empty(j1 - j0 + 2, dtype=object)
+    m[0], m[-1] = (int(v * den) * q for v in ends)
     m[1:-1] = (off_n * dpow + br.sign * off_d * acc**e) * scale
     return m, den * p
 
@@ -149,13 +154,14 @@ def grid_graph(pmap: PiecewiseMap, eps: float) -> GridDynamics:
     if eps < MIN_EPS:
         raise ResolutionTooFine(f"eps={eps} below the guard {MIN_EPS}")
     n = ncells(eps)
-    return GridDynamics(eps, n, _cell_ranges(pmap, *Fraction(eps).as_integer_ratio(), n), pmap)
+    return GridDynamics(eps, n, _cell_ranges(pmap, *Fraction(eps).as_integer_ratio(), n))
 
 
-def _cell_ranges(pmap: PiecewiseMap, p: int, q: int, n: int) -> list[list[tuple[int, int]]]:
-    """The merged target ranges of the n cells of width p/q.  A cell meets a
-    branch's domain in one segment, so the work runs branch by branch, and
-    each grid value serves the two cells that share it."""
+def _cell_ranges(pmap: PiecewiseMap, p: int, q: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merged target ranges of the n cells of width p/q: cell, lo and hi
+    arrays in (cell, lo) order.  A cell meets a branch's domain in one
+    segment, so the work runs branch by branch, and each grid value serves
+    the two cells that share it."""
     critical = set(pmap.critical)
     parts = []
     for br in pmap.branches:
@@ -179,72 +185,56 @@ def _cell_ranges(pmap: PiecewiseMap, p: int, q: int, n: int) -> list[list[tuple[
         ia -= (r_lo != 0) & (r_lo < noise)
         ib += (r_hi != 0) & (den - r_hi < noise)
         parts.append(np.stack((np.arange(i0, i1 + 1), np.maximum(ia, 0), np.minimum(n - 1, np.maximum(ib, ia)))))
-    # merge each cell's sorted segments; only cells holding a breakpoint have several
+    # merge each cell's sorted segments; offset by cell (n + 2), a cell's ends
+    # lie more than one above every end of the cells before it
     segs = np.hstack(parts)
     cells, los, his = segs[:, np.lexsort(segs[::-1])]
-    first = np.r_[True, cells[1:] != cells[:-1]]  # every cell has a segment
-    ranges = [[seg] for seg in zip(los[first].tolist(), his[first].tolist())]
-    for i, lo, hi in zip(cells[~first].tolist(), los[~first].tolist(), his[~first].tolist()):
-        r = ranges[i]
-        if lo <= r[-1][1] + 1:
-            r[-1] = (r[-1][0], max(r[-1][1], hi))
-        else:
-            r.append((lo, hi))
-    return ranges
+    off = cells * (n + 2)
+    reach = np.maximum.accumulate(his + off)
+    new = np.flatnonzero(np.r_[True, los[1:] + off[1:] > reach[:-1] + 1])
+    return cells[new], los[new], np.maximum.reduceat(his + off, new) - off[new]
 
 
 def nonwandering_estimate(gd: GridDynamics) -> np.ndarray:
     """Cells on a directed cycle: a chain-recurrent outer estimate of Omega(f)."""
-    indptr, indices = gd.adjacency_csr()
+    indptr, indices = (a.tolist() for a in gd.adjacency_csr())
     n = gd.ncells
-    index = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    comp = np.full(n, -1, dtype=np.int64)
-    comp_size = []
-    counter = 0
-    ncomp = 0
+    index = [-1] * n  # n once the cell's component has left the stack
+    low = [0] * n
+    recurrent = gd._selfloop.copy()
     stack: list[int] = []
+    counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [[root, indptr[root]]]  # [cell, next edge]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            top = work[-1]
+            v, k = top
+            if k == indptr[v]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(indptr[v] + pi, indptr[v + 1]):
+            for k in range(k, indptr[v + 1]):
                 w = indices[k]
                 if index[w] == -1:
-                    work[-1] = (v, k - indptr[v] + 1)
-                    work.append((int(w), 0))
-                    advanced = True
+                    top[1] = k + 1
+                    work.append([w, indptr[w]])
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                size = 0
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    size += 1
-                    if w == v:
-                        break
-                comp_size.append(size)
-                ncomp += 1
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    sizes = np.asarray(comp_size)
-    recurrent = (sizes[comp] >= 2) | gd._selfloop
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = n
+                    if len(comp) > 1:
+                        recurrent[comp] = True
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return np.flatnonzero(recurrent).astype(np.int64)
 
 

@@ -240,10 +240,10 @@ class PiecewiseMap:
         cuts = [lo] + [b for b in self._interior_breaks if lo < b < hi] + [hi]
         return [(a, b, self.branch_index(0.5 * (a + b))) for a, b in zip(cuts, cuts[1:]) if b > a]
 
-    def interval_image(self, lo: float, hi: float, margin: float = 0.0) -> list[tuple[float, float]]:
-        """Outward-rounded image of [lo,hi]; split at breakpoints, one-sided at cuts."""
+    def interval_image(self, lo: float, hi: float) -> list[tuple[float, float]]:
+        """Image of [lo,hi]; split at breakpoints, one-sided at cuts."""
         lo, hi = max(lo, 0.0), min(hi, 1.0)
-        return [self.branches[i].interval_image(a, b, margin) for a, b, i in self.pieces(lo, hi)]
+        return [self.branches[i].interval_image(a, b) for a, b, i in self.pieces(lo, hi)]
 
     # -- diagnostics ------------------------------------------------------------------
 

@@ -485,9 +485,9 @@ def _interval_orbit(pmap: PiecewiseMap, lo: float, hi: float, n: int):
     for _ in range(n):
         if any(lo - 1e-14 <= c <= hi + 1e-14 for c in pmap.fcritical):
             return out, False
-        pieces = pmap.interval_image(lo, hi, margin)
-        lo = min(p[0] for p in pieces)
-        hi = max(p[1] for p in pieces)
+        pieces = pmap.interval_image(lo, hi)
+        lo = min(p[0] for p in pieces) - margin
+        hi = max(p[1] for p in pieces) + margin
         out.append((lo, hi))
     return out, True
 
@@ -807,7 +807,7 @@ def strong_transitivity_check(
                 union_covered = True
             new_frontier = []
             for lo, hi in frontier:
-                for seg in pmap.interval_image(lo, hi, margin=0.0):
+                for seg in pmap.interval_image(lo, hi):
                     new_frontier.append(seg)
             frontier = _union_merge(new_frontier)
             union = _union_merge(union + frontier)

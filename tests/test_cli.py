@@ -378,6 +378,7 @@ def test_bad_eps_exits_2(tmp_path, spec_logistic32, capsys, eps):
         (["stats", "--phi", "pwl:0,1;0"], "2 piecewise-linear nodes but 1 values"),
         (["historic", "--stages", "-1"], "argument --stages: -1 is less than 0"),
         (["--horizon", "20000", "returnmap"], "argument --horizon: returnmap searches at most 10000 steps, got 20000"),
+        (["--eps", "1e-6", "decompose"], "argument --eps: decompose needs eps >= 1e-05, got 1e-06"),
     ],
 )
 def test_bad_arguments_exit_2(tmp_path, spec_logistic32, capsys, argv, message):

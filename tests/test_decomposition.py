@@ -252,6 +252,43 @@ def test_nonwandering_contraction_sink():
     assert all(c <= 2 for c in omega)  # only a neighborhood of 0
 
 
+def reference_recurrent(gd):
+    """Cells on the diagonal of the transitive closure (Warshall on a boolean
+    matrix) or with a self-loop: the scalar reference of nonwandering_estimate."""
+    n = gd.ncells
+    reach = np.zeros((n, n), dtype=bool)
+    for i, segs in enumerate(gd.ranges):
+        for lo, hi in segs:
+            reach[i, lo : hi + 1] = True
+    selfloop = reach.diagonal().copy()
+    for k in range(n):
+        reach |= reach[:, k : k + 1] & reach[k]
+    return np.flatnonzero(reach.diagonal() | selfloop)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_nonwandering_matches_the_transitive_closure(name):
+    pmap = REFERENCE_MAPS[name]()
+    for eps in (2.0**-6, 2.0**-8):
+        gd = grid_graph(pmap, eps)
+        assert np.array_equal(nonwandering_estimate(gd), reference_recurrent(gd)), eps
+
+
+@settings(derandomize=True, deadline=None)
+@given(pmap=monotone_maps())
+def test_nonwandering_follows_the_transitive_closure(pmap):
+    gd = grid_graph(pmap, 2.0**-6)
+    assert np.array_equal(nonwandering_estimate(gd), reference_recurrent(gd))
+
+
+@pytest.mark.parametrize("name", ["logistic4", "bimodal_map", "lorenz_map"])
+def test_has_edge_follows_the_ranges(request, name):
+    gd = grid_graph(request.getfixturevalue(name), 2.0**-8)
+    for i, segs in enumerate(gd.ranges):
+        want = [any(lo <= j <= hi for lo, hi in segs) for j in range(gd.ncells)]
+        assert [gd.has_edge(i, j) for j in range(gd.ncells)] == want, i
+
+
 def test_component_empty_for_unreachable_critical():
     pmap = halving_with_critical()
     gd = grid_graph(pmap, 2.0**-8)

@@ -286,6 +286,23 @@ def test_lorenz_homtervals_and_verdicts_pinned(lorenz_map):
     assert (verdict.verdict, verdict.detail) == ("undecided", "image hits C after 6 steps")
 
 
+@pytest.mark.parametrize(
+    "J, horizon, digest, verdict, detail",
+    [
+        ((0.75 - 1e-9, 0.75 + 1e-9), 5, "515c04c01b09f732", "undecided", "image intervals overlap"),
+        ((0.1, 0.1001), 50, "23026e341c3c79f0", "undecided", "image hits C after 11 steps"),
+        ((0.3, 0.30001), 3, "b32022c931220de1", "wandering", "pairwise disjoint images"),
+    ],
+)
+def test_float_interval_orbit_pinned(logistic4, J, horizon, digest, verdict, detail):
+    # recorded while interval_image still took the 1e-13 margin: a sha256
+    # prefix of the float images' repr, and the homterval verdict
+    images = structure._interval_orbit(logistic4, *J, horizon)
+    assert hashlib.sha256(repr(images).encode()).hexdigest()[:16] == digest
+    v = classify_homterval(logistic4, J, horizon)
+    assert (v.verdict, v.detail) == (verdict, detail)
+
+
 def test_homtervals_put_a_cut_in_its_right_branch():
     # x + 1/2 on [0, 1/2], 2x - 1 on [1/2, 1]: a piece or image starting on
     # the cut 1/2 maps by the right branch, so its image [0, 1] splits at C
