@@ -6,12 +6,15 @@ orbits, homterval search and verdicts, and the witness chain, pullback,
 certification and replay.  Only the operations those paths need are here.
 
 A map enters as ``branch_table``: the coefficient mantissas of each branch
-and the cut mantissas.  A mantissa x lies in branch ``bisect_left(cuts, x)``
-when each boundary belongs to the branch on its left, ``bisect_right(cuts,
-x)`` when it belongs to the one on its right, and ``poly_down`` and
-``poly_up``, the one rounded step, bound its image below and above (the
-floor and ceiling of it for an affine row whose slope is an exact mantissa).
-Point orbits run through one loop, ``orbit_stats._dyadic_orbit``.
+and the cut mantissas (a power branch raises NotClassified).  A mantissa x
+lies in branch ``bisect_left(cuts, x)`` when each boundary belongs to the
+branch on its left, ``bisect_right(cuts, x)`` when it belongs to the one on
+its right, and ``poly_down`` and ``poly_up``, the one rounded step, bound
+its image below and above (the floor and ceiling of it for an affine row
+whose slope is an exact mantissa).  Point orbits run through one loop,
+``orbit_stats._dyadic_orbit``, and interval images through one directed
+image, ``image_outer``: the witness certification's, and at
+``DYADIC_ORBIT_BITS`` those of ``structure.classify_homterval``.
 
 Their products skip known zero bits.  The leading coefficient is shifted
 right past its trailing zeros before it multiplies x, and a lower Horner
@@ -123,6 +126,16 @@ def poly_up(coeffs: tuple[int, ...], x: int, p: int) -> int:
     for c in coeffs[-2:0:-1]:
         acc = -((-_horner_product(acc, c, x, p)) >> p)
     return acc + coeffs[0]
+
+
+def image_outer(cm: tuple[int, ...], decreasing: bool, lo: int, hi: int, p: int) -> tuple[int, int]:
+    """Mantissas below and above the image of [lo, hi] (0 <= lo <= hi <= 2^p)
+    under a monotone branch with ``branch_table`` row cm: ``poly_down`` at the
+    end that maps lowest, ``poly_up`` at the other, each moved out by len(cm)
+    units for the rounding of the coefficients."""
+    if decreasing:
+        lo, hi = hi, lo
+    return poly_down(cm, lo, p) - len(cm), poly_up(cm, hi, p) + len(cm)
 
 
 def branch_table(pmap, p: int) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -47,6 +47,7 @@ from math import isqrt
 import numpy as np
 
 from . import dyadic
+from .branch import DECREASING
 from .cells import cell_of
 from .decomposition import grid_graph
 from .errors import EnvelopeViolation, NotClassified, ShadowingFailed
@@ -93,36 +94,23 @@ class _BranchArith:
         self._root = None  # (p, s, s * s) of the last square root taken
         self._inner = [(None, 0), (None, 0)]  # ((p, x), value) of image_inner's last ends
 
-    def val_down(self, x, p, cm):
-        return dyadic.poly_down(cm, x, p) - len(cm)
-
-    def val_up(self, x, p, cm):
-        return dyadic.poly_up(cm, x, p) + len(cm)
-
-    def _ends(self, lo, hi):
-        """lo and hi ordered by their images: the end that maps lowest first."""
-        return (lo, hi) if self.mono == "increasing" else (hi, lo)
-
     def image_inner(self, lo, hi, p, cm):
         """Interval certainly contained in the branch image of [lo, hi].
 
-        ``cm`` is the branch's row of ``dyadic.branch_table`` at p.  An end
-        equal to the last one evaluated at the same precision reuses its
-        value: in a shadow phase next to a repelling fixed point the chain is
-        clipped to the same ball edge at every step.
+        ``cm`` is the branch's row of ``dyadic.branch_table`` at p.  Its ends
+        are those of ``dyadic.image_outer`` swapped and moved in by 2 units:
+        the upper bound of the end that maps lowest and the lower bound of the
+        other.  An end equal to the last one evaluated at the same precision
+        reuses its value: in a shadow phase next to a repelling fixed point
+        the chain is clipped to the same ball edge at every step.
         """
-        a, b = self._ends(lo, hi)
+        a, b = (lo, hi) if self.mono == "increasing" else (hi, lo)
         up, down = self._inner
         if up[0] != (p, a):
-            up = self._inner[0] = ((p, a), self.val_up(a, p, cm) + 2)
+            up = self._inner[0] = ((p, a), dyadic.poly_up(cm, a, p) + len(cm) + 2)
         if down[0] != (p, b):
-            down = self._inner[1] = ((p, b), self.val_down(b, p, cm) - 2)
+            down = self._inner[1] = ((p, b), dyadic.poly_down(cm, b, p) - len(cm) - 2)
         return up[1], down[1]
-
-    def image_outer(self, lo, hi, p, cm):
-        """Interval certainly containing the branch image of [lo, hi]."""
-        a, b = self._ends(lo, hi)
-        return self.val_down(a, p, cm), self.val_up(b, p, cm)
 
     def isqrt(self, n, p):
         """``math.isqrt(n)`` for a discriminant n at precision p, by one Newton
@@ -491,7 +479,7 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
     """
     n = len(bits) - 1
     p = bits[0]
-    ariths = [_BranchArith(b) for b in pmap.branches]
+    decreasing = [b.monotonicity == DECREASING for b in pmap.branches]
     cms, cuts = dyadic.branch_table(pmap, p)
     lo = dyadic.from_fraction(j_lo, p)
     hi = dyadic.from_fraction(j_hi, p, round_up=True)
@@ -510,7 +498,7 @@ def _certify_forward(pmap, phi, j_lo: Fraction, j_hi: Fraction, bits):
         idx = dyadic.branch_of(cuts, lo, hi)
         if idx is None:
             raise EnvelopeViolation(f"certified interval straddles C at step {j}")
-        lo, hi = ariths[idx].image_outer(lo, hi, p, cms[idx])
+        lo, hi = dyadic.image_outer(cms[idx], decreasing[idx], lo, hi, p)
     return phi_lo, phi_hi
 
 

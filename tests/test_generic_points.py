@@ -106,17 +106,17 @@ def test_witness_rejects_a_branch_with_an_offset():
 
 
 @pytest.mark.parametrize("p", [64, 200])
-def test_image_outer_encloses_the_branch_image(logistic4, p):
+def test_image_outer_encloses_the_branch_image(logistic4, bimodal_map, p):
     rng = np.random.default_rng(p)
     one = 1 << p
-    cms, _ = dyadic.branch_table(logistic4, p)
-    for branch, cm in zip(logistic4.branches, cms):
-        arith = _BranchArith(branch)
-        for _ in range(200):
-            lo, hi = sorted(int((branch.lo + (branch.hi - branch.lo) * Fraction(t)) * one) for t in rng.random(2))
-            ilo, ihi = arith.image_outer(lo, hi, p, cm)
-            image = [branch.value_exact(Fraction(x, one)) for x in (lo, hi)]
-            assert Fraction(ilo, one) <= min(image) and max(image) <= Fraction(ihi, one)
+    for pmap in (logistic4, bimodal_map, catalog.zigzag3()):
+        cms, _ = dyadic.branch_table(pmap, p)
+        for branch, cm in zip(pmap.branches, cms):
+            for _ in range(200):
+                lo, hi = sorted(int((branch.lo + (branch.hi - branch.lo) * Fraction(t)) * one) for t in rng.random(2))
+                ilo, ihi = dyadic.image_outer(cm, branch.monotonicity == "decreasing", lo, hi, p)
+                image = [branch.value_exact(Fraction(x, one)) for x in (lo, hi)]
+                assert Fraction(ilo, one) <= min(image) and max(image) <= Fraction(ihi, one)
 
 
 @pytest.mark.parametrize(

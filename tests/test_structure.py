@@ -1,12 +1,14 @@
 import hashlib
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from intervaldyn import Observable, PiecewiseMap, poly_branch, catalog, structure
-from intervaldyn.errors import DegenerateFamily
+from intervaldyn import Observable, PiecewiseMap, poly_branch, catalog, dyadic, structure
+from intervaldyn.errors import DegenerateFamily, NotClassified
 from intervaldyn.maps import MINUS, PLUS
 from intervaldyn.mapspec import parse_mapspec
 from intervaldyn.structure import (
@@ -24,6 +26,9 @@ from intervaldyn.structure import (
     word_domain,
     word_eval,
 )
+from intervaldyn.orbit_stats import DYADIC_ORBIT_BITS
+from test_decomposition import monotone_maps
+from test_orbit_stats import POWER_SPECS
 
 PHI_X = Observable.identity()
 
@@ -287,20 +292,68 @@ def test_lorenz_homtervals_and_verdicts_pinned(lorenz_map):
 
 
 @pytest.mark.parametrize(
-    "J, horizon, digest, verdict, detail",
+    "J, horizon, verdict, detail",
     [
-        ((0.75 - 1e-9, 0.75 + 1e-9), 5, "515c04c01b09f732", "undecided", "image intervals overlap"),
-        ((0.1, 0.1001), 50, "23026e341c3c79f0", "undecided", "image hits C after 11 steps"),
-        ((0.3, 0.30001), 3, "b32022c931220de1", "wandering", "pairwise disjoint images"),
+        ((0.75 - 1e-9, 0.75 + 1e-9), 5, "undecided", "image intervals overlap"),
+        ((0.1, 0.1001), 50, "undecided", "image hits C after 11 steps"),
+        ((0.3, 0.30001), 3, "wandering", "pairwise disjoint images"),
     ],
 )
-def test_float_interval_orbit_pinned(logistic4, J, horizon, digest, verdict, detail):
-    # recorded while interval_image still took the 1e-13 margin: a sha256
-    # prefix of the float images' repr, and the homterval verdict
-    images = structure._interval_orbit(logistic4, *J, horizon)
-    assert hashlib.sha256(repr(images).encode()).hexdigest()[:16] == digest
+def test_logistic4_homterval_verdicts_pinned(logistic4, J, horizon, verdict, detail):
+    # recorded from the float interval orbit (1e-13 margin), which the exact
+    # mantissa orbit replaced with these verdicts unchanged
     v = classify_homterval(logistic4, J, horizon)
     assert (v.verdict, v.detail) == (verdict, detail)
+
+
+def tent2_split_at_a_quarter():
+    # tent(2) with a smooth, non-critical join of 2x at 1/4
+    q, h = Fraction(1, 4), Fraction(1, 2)
+    return PiecewiseMap(
+        [
+            poly_branch(0, q, (0, 2), "increasing"),
+            poly_branch(q, h, (0, 2), "increasing"),
+            poly_branch(h, 1, (2, -2), "decreasing"),
+        ],
+        critical=[h],
+    )
+
+
+@pytest.mark.parametrize("pmap", [tent2_split_at_a_quarter(), catalog.tent(2)], ids=["split", "tent2"])
+def test_homterval_orbit_crosses_a_smooth_join(pmap):
+    # the exact orbit once treated every cut as C, so (0.2, 0.3), which
+    # straddles the join 1/4, "hit C after 0 steps"; its image (0.4, 0.6)
+    # holds the critical point 1/2
+    v = classify_homterval(pmap, (0.2, 0.3), 10)
+    assert (v.verdict, v.detail) == ("undecided", "image hits C after 1 steps")
+
+
+@pytest.mark.parametrize("spec", POWER_SPECS, ids=["square-shared", "square-mirrored", "cube"])
+def test_homterval_refuses_a_power_branch_before_the_probe(spec, monkeypatch):
+    def probe(*args):
+        raise AssertionError("the basin probe ran")
+
+    monkeypatch.setattr(structure, "_convergent_cycle", probe)
+    with pytest.raises(NotClassified, match="plain polynomial"):
+        classify_homterval(parse_mapspec(spec + "critical = 1/2\n"), (0.2, 0.3), 10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    pmap=monotone_maps(),
+    J=st.tuples(*[st.fractions(0, 1, max_denominator=64)] * 2),
+    points=st.lists(st.fractions(0, 1, max_denominator=97), min_size=1, max_size=4),
+)
+def test_homterval_images_enclose_the_exact_orbits(pmap, J, points):
+    # up to the first C-hit, image k holds f^k of the ends of J and of
+    # rational points inside it
+    lo, hi = sorted(float(t) for t in J)
+    p = DYADIC_ORBIT_BITS
+    images, _ = structure._dyadic_interval_orbit(pmap, dyadic.branch_table(pmap, p), lo, hi, 8)
+    xs = [Fraction(lo) + t * (Fraction(hi) - Fraction(lo)) for t in (0, 1, *points)]
+    for k, (mlo, mhi) in enumerate(images):
+        assert all(Fraction(mlo, 1 << p) <= x <= Fraction(mhi, 1 << p) for x in xs), k
+        xs = [pmap.branches[bisect_left(pmap.breakpoints[1:-1], x)].value_exact(x) for x in xs]
 
 
 def test_homtervals_put_a_cut_in_its_right_branch():
